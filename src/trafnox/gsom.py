@@ -26,36 +26,32 @@ from .core import (
     _clamped,
     cgarz_speed,
     cgarz_speed_drho,
-    cutoff,
     cutoff_derivative,
 )
 from .lagrangian import Fleet
 from .lwr import (
+    EmbeddingMode,
     FluxSamplingConfig,
-    _critical_tables,
+    _cell_capacities,
+    _embedded_speed,
     _Embedding,
-    _prepared_step,
+    _interface_fluxes,
     max_dt,
 )
-from .lwr import EmbeddingMode as _Mode
 
 ArrayLike = Union[float, np.ndarray]
+
+# The second-order blend always uses the closest vehicle; without vehicles
+# the embedding is empty and leaves the bulk speed as it is.
+_CLOSEST = EmbeddingMode.CLOSEST_VEHICLE
 
 
 def embedded_speed_2(x: ArrayLike, t: float, rho: ArrayLike, w: ArrayLike,
                      fleet: Optional[Fleet], diag: CgarzDiagram,
                      shape: Optional[CutoffShape]) -> ArrayLike:
     """Speed field v(rho, w) blended with the closest tracked vehicle."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    rho_arr = _clamped(np.atleast_1d(np.asarray(rho, dtype=float)),
-                       0.0, diag.rho_max, "density")
-    v = np.asarray(cgarz_speed(rho_arr, w, diag), dtype=float)
-    emb = _Embedding(xs, t, fleet, shape, _Mode.CLOSEST_VEHICLE
-                     if fleet is not None and len(fleet) else _Mode.NONE)
-    out = np.broadcast_to(emb.blended(v), (xs.size,)).copy()
-    if np.ndim(x) == 0 and np.ndim(rho) == 0:
-        return float(out[0])
-    return out
+    return _embedded_speed(x, t, rho, diag.rho_max,
+                           lambda r: cgarz_speed(r, w, diag), fleet, shape, _CLOSEST)
 
 
 def max_dt_2(fleet: Optional[Fleet], diag: CgarzDiagram, grid: SpatialGrid) -> float:
@@ -63,21 +59,19 @@ def max_dt_2(fleet: Optional[Fleet], diag: CgarzDiagram, grid: SpatialGrid) -> f
     return max_dt(fleet, CgarzAtFixedW(diag, diag.w_right), grid)
 
 
-def _prepared_inputs(state: MacroState2, grid: SpatialGrid, t: float,
-                     diag: CgarzDiagram, fleet: Optional[Fleet],
-                     shape: Optional[CutoffShape],
-                     sampling: FluxSamplingConfig):
-    """Validated fields plus the embedding and speed tables one step needs."""
+def _cell_tables(state: MacroState2, grid: SpatialGrid, t: float,
+                 diag: CgarzDiagram, fleet: Optional[Fleet],
+                 shape: Optional[CutoffShape], sampling: FluxSamplingConfig):
+    """Clamped (rho, w) and the _cell_capacities arrays of the CGARZ flux,
+    sampled per cell at that cell's w."""
     rho = _clamped(state.rho, 0.0, diag.rho_max, "density")
     w = _clamped(state.w, diag.w_left, diag.w_right, "property w")
-    mode = (_Mode.CLOSEST_VEHICLE if fleet is not None and len(fleet)
-            else _Mode.NONE)
-    emb = _Embedding(grid.centers(), t, fleet, shape, mode)
+    emb = _Embedding(grid.centers(), t, fleet, shape, _CLOSEST)
     rho_samples = sampling.samples(diag.rho_max)
     u_samples = np.asarray(cgarz_speed(rho_samples[:, None], w[None, :], diag),
                            dtype=float)
     u_own = np.asarray(cgarz_speed(rho, w, diag), dtype=float)
-    return rho, w, emb, u_own, rho_samples, u_samples
+    return rho, w, _cell_capacities(rho, emb, u_own, rho_samples, u_samples)
 
 
 def boundary_capacities(state: MacroState2, grid: SpatialGrid, t: float,
@@ -87,20 +81,14 @@ def boundary_capacities(state: MacroState2, grid: SpatialGrid, t: float,
                         ) -> tuple[float, float]:
     """(receiving capacity of the first cell, sending capacity of the last).
 
-    Computed from the same tables a step builds, so a boundary flux capped by
-    these values passes through the step's internal min() unchanged — the
-    basis for exact junction conservation in network runs.
+    The two ends of the receiving and sending arrays that step builds from
+    the same state and time, so a boundary flux capped by these values
+    passes through the step's interface min() unchanged: junction
+    conservation in network runs is exact by construction.
     """
-    rho, _, emb, u_own, rho_samples, u_samples = _prepared_inputs(
-        state, grid, t, diag, fleet, shape, sampling)
-    speed_own = np.broadcast_to(np.asarray(emb.blended(u_own), dtype=float),
-                                (emb.n_points,))
-    sigma, flux_max = _critical_tables(emb, rho_samples, u_samples)
-    flux_own = rho * speed_own
-    below = rho <= sigma
-    recv = float(flux_max[0]) if below[0] else float(flux_own[0])
-    send = float(flux_own[-1]) if below[-1] else float(flux_max[-1])
-    return recv, send
+    _, _, (_, _, send, recv) = _cell_tables(state, grid, t, diag, fleet, shape,
+                                            sampling)
+    return float(recv[0]), float(send[-1])
 
 
 def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
@@ -126,10 +114,10 @@ def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
     bound = max_dt_2(fleet, diag, grid)
     if dt > bound * (1.0 + 1e-12):
         raise SimulationError(f"time step {dt} exceeds the admissible bound {bound}")
-    rho, w, emb, u_own, rho_samples, u_samples = _prepared_inputs(
+    rho, w, (speed_own, flux_own, send, recv) = _cell_tables(
         state, grid, t, diag, fleet, shape, sampling)
-    rho_new, fluxes, speed_own = _prepared_step(
-        rho, grid, emb, u_own, rho_samples, u_samples, dt, left_flux, right_flux)
+    fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
+    rho_new = rho - (dt / grid.dx_km) * np.diff(fluxes)
     if left_w is None:
         ghost_w = w[0]
     else:
@@ -181,34 +169,20 @@ def acceleration_field(state: MacroState2, grid: SpatialGrid, t: float,
     """
     rho = _clamped(state.rho, 0.0, diag.rho_max, "density")
     w = _clamped(state.w, diag.w_left, diag.w_right, "property w")
-    centers = grid.centers()
     v = np.asarray(cgarz_speed(rho, w, diag), dtype=float)
     v_rho = np.asarray(cgarz_speed_drho(rho, w, diag), dtype=float)
+    emb = _Embedding(grid.centers(), t, fleet, shape, _CLOSEST)
+    vel_field = emb.blended(v)
+    vel_x_field = np.gradient(vel_field, grid.dx_km)
 
-    chi = np.zeros_like(v)
-    chi_prime = np.zeros_like(v)
-    p_dot = np.zeros_like(v)
-    p_ddot = np.zeros_like(v)
-    if fleet is not None and len(fleet):
-        if shape is None:
-            raise ConfigError("vehicle embedding needs a cutoff shape")
-        _, positions, speeds, accels = fleet.snapshot(t)
-        if positions.size:
-            xi = centers[:, None] - positions[None, :]
-            nearest = np.argmin(np.abs(xi), axis=1)
-            xi_k = np.take_along_axis(xi, nearest[:, None], axis=1)[:, 0]
-            chi = np.asarray(cutoff(xi_k, shape))
-            chi_prime = np.asarray(cutoff_derivative(xi_k, shape))
-            p_dot = speeds[nearest]
-            p_ddot = accels[nearest]
-
+    if emb.n_active:
+        chi, p_dot, p_ddot = emb.chi_k, emb.pdot_k, emb.pddot_k
+        chi_prime = np.asarray(cutoff_derivative(emb.xi_k, shape))
+    else:
+        chi = chi_prime = p_dot = p_ddot = np.zeros_like(v)
     denom = p_dot + v
     moving = denom > 0.0
     safe = np.where(moving, denom, 1.0)
-    blend = 2.0 * p_dot * v / safe
-    vel_field = chi * blend + (1.0 - chi) * v
-    vel_x_field = np.gradient(vel_field, grid.dx_km)
-
     factor = chi * 2.0 * p_dot * p_dot / (safe * safe) + (1.0 - chi)
     vel_x_expl = chi_prime * v * (p_dot - v) / safe
     vel_t_expl = (chi_prime * p_dot * v * (v - p_dot) / safe

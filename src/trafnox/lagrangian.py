@@ -9,7 +9,7 @@ contributes nothing to any query; no extrapolation is ever performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +41,9 @@ class Trajectory:
     times_h: np.ndarray
     positions_km: np.ndarray
     speeds_kmh: Optional[np.ndarray] = None
+    # derived once: segment slopes of a speedless record, and the top speed
+    _slopes: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _max_speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.array(self.times_h, dtype=float)
@@ -49,9 +52,10 @@ class Trajectory:
             raise ConfigError(
                 f"trajectory {self.vehicle_id!r} needs >= 2 aligned (t, x) samples"
             )
-        if np.any(np.diff(t) <= 0):
+        t_steps, x_steps = np.diff(t), np.diff(x)
+        if np.any(t_steps <= 0):
             raise ConfigError(f"trajectory {self.vehicle_id!r}: times must strictly increase")
-        if np.any(np.diff(x) < 0):
+        if np.any(x_steps < 0):
             raise ConfigError(f"trajectory {self.vehicle_id!r}: positions must be non-decreasing")
         t.flags.writeable = False
         x.flags.writeable = False
@@ -67,6 +71,10 @@ class Trajectory:
                 raise ConfigError(f"trajectory {self.vehicle_id!r}: speeds must be >= 0")
             v.flags.writeable = False
             object.__setattr__(self, "speeds_kmh", v)
+        slopes = None if self.speeds_kmh is not None else x_steps / t_steps
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_max_speed", float(np.max(
+            self.speeds_kmh if slopes is None else slopes)))
 
     @classmethod
     def from_line(cls, vehicle_id: str, x0_km: float, speed_kmh: float,
@@ -86,17 +94,11 @@ class Trajectory:
     @property
     def max_speed_kmh(self) -> float:
         """Largest speed the record can produce (for CFL bounds)."""
-        if self.speeds_kmh is not None:
-            return float(np.max(self.speeds_kmh))
-        slopes = np.diff(self.positions_km) / np.diff(self.times_h)
-        return float(np.max(slopes))
+        return self._max_speed
 
     def _segment_index(self, t: float) -> int:
         k = int(np.searchsorted(self.times_h, t, side="right")) - 1
         return min(max(k, 0), self.times_h.size - 2)
-
-    def _segment_slopes(self) -> np.ndarray:
-        return np.diff(self.positions_km) / np.diff(self.times_h)
 
 
 def interpolate(traj: Trajectory, t: float) -> Optional[tuple[float, float, float]]:
@@ -121,7 +123,7 @@ def interpolate(traj: Trajectory, t: float) -> Optional[tuple[float, float, floa
                   + (traj.positions_km[k + 1] - traj.positions_km[k]) * frac)
         p_ddot = float((v[k + 1] - v[k]) / dt_seg)
         return p, p_dot, p_ddot
-    slopes = traj._segment_slopes()
+    slopes = traj._slopes
     p = float(traj.positions_km[k] + slopes[k] * (t - times[k]))
     p_dot = float(slopes[k])
     if k + 1 < slopes.size:
@@ -138,9 +140,13 @@ class Fleet:
     """An ordered collection of trajectories (query ties break by index)."""
 
     trajectories: tuple[Trajectory, ...]
+    _max_speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        trajectories = tuple(self.trajectories)
+        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "_max_speed", max(
+            (tr.max_speed_kmh for tr in trajectories), default=0.0))
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -164,9 +170,7 @@ class Fleet:
     @property
     def max_speed_kmh(self) -> float:
         """Largest recorded speed across the fleet; 0 for an empty fleet."""
-        if not self.trajectories:
-            return 0.0
-        return max(tr.max_speed_kmh for tr in self.trajectories)
+        return self._max_speed
 
     def snapshot(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indices, positions, speeds, accelerations) of vehicles active at t."""

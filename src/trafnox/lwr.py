@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class _Embedding:
 
     Precomputed once per step for the cell centers, then applied to any
     stack of bulk-speed arrays whose last axis runs over the query points.
+    In closest-vehicle mode it keeps, per point, the nearest vehicle's
+    offset xi_k = x - p_k, cutoff weight, speed and acceleration.
     """
 
     def __init__(self, x: np.ndarray, t: float, fleet: Optional[Fleet],
@@ -92,16 +94,20 @@ class _Embedding:
             return
         if shape is None:
             raise ConfigError("vehicle embedding needs a cutoff shape")
-        _, positions, speeds, _ = fleet.snapshot(t)
+        _, positions, speeds, accels = fleet.snapshot(t)
         self.n_active = positions.size
         if self.n_active == 0:
             return
-        self.p_dot = speeds
-        self.chi = np.asarray(cutoff(self.x[:, None] - positions[None, :], shape))
+        offsets = self.x[:, None] - positions[None, :]
         if mode is EmbeddingMode.CLOSEST_VEHICLE:
-            nearest = np.argmin(np.abs(self.x[:, None] - positions[None, :]), axis=1)
-            self.chi_k = np.take_along_axis(self.chi, nearest[:, None], axis=1)[:, 0]
+            nearest = np.argmin(np.abs(offsets), axis=1)
+            self.xi_k = np.take_along_axis(offsets, nearest[:, None], axis=1)[:, 0]
+            self.chi_k = np.asarray(cutoff(self.xi_k, shape))
             self.pdot_k = speeds[nearest]
+            self.pddot_k = accels[nearest]
+        else:
+            self.p_dot = speeds
+            self.chi = np.asarray(cutoff(offsets, shape))
 
     def blended(self, u: ArrayLike) -> np.ndarray:
         """Embedded speed for bulk speeds u (last axis = query points)."""
@@ -145,19 +151,35 @@ def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
     return sigma, flux_max
 
 
-def _interface_fluxes(rho: np.ndarray, flux_own: np.ndarray, sigma: np.ndarray,
-                      flux_max: np.ndarray, left_flux: float,
-                      right_flux: Optional[float]) -> np.ndarray:
-    """Godunov fluxes at the n+1 interfaces.
+def _cell_capacities(rho: np.ndarray, emb: _Embedding, u_own: np.ndarray,
+                     rho_samples: np.ndarray, u_samples: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell (embedded speed, own flux, sending, receiving) of one step.
+
+    u_own holds the bulk speeds at the cell densities; u_samples as in
+    _critical_tables.  Sending is the cell's own flux up to sigma and the
+    flux cap above it, receiving the reverse.  The step's interface fluxes
+    and a network junction's boundary capacities both read these arrays.
+    """
+    speed_own = np.broadcast_to(np.asarray(emb.blended(u_own), dtype=float),
+                                (emb.n_points,))
+    sigma, flux_max = _critical_tables(emb, rho_samples, u_samples)
+    flux_own = rho * speed_own
+    below = rho <= sigma
+    send = np.where(below, flux_own, flux_max)
+    recv = np.where(below, flux_max, flux_own)
+    return speed_own, flux_own, send, recv
+
+
+def _interface_fluxes(flux_own: np.ndarray, send: np.ndarray, recv: np.ndarray,
+                      left_flux: float, right_flux: Optional[float]) -> np.ndarray:
+    """Godunov fluxes at the n+1 interfaces from the _cell_capacities arrays.
 
     The left ghost supplies the inflow as a sending value; a None right flux
     copies the last cell (homogeneous Neumann), making the outflow the last
     cell's own flux; otherwise the supplied value caps the last sending.
     """
-    below = rho <= sigma
-    send = np.where(below, flux_own, flux_max)
-    recv = np.where(below, flux_max, flux_own)
-    fluxes = np.empty(rho.size + 1)
+    fluxes = np.empty(flux_own.size + 1)
     fluxes[1:-1] = np.minimum(send[:-1], recv[1:])
     fluxes[0] = min(float(left_flux), float(recv[0]))
     if right_flux is None:
@@ -180,10 +202,17 @@ def embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet
                    law: SpeedLaw, shape: Optional[CutoffShape],
                    mode: EmbeddingMode) -> ArrayLike:
     """Speed field with tracked vehicles blended in at their cutoff supports."""
+    return _embedded_speed(x, t, rho, law.rho_max, law.speed, fleet, shape, mode)
+
+
+def _embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
+                    speed: Callable[[np.ndarray], ArrayLike], fleet: Optional[Fleet],
+                    shape: Optional[CutoffShape], mode: EmbeddingMode) -> ArrayLike:
+    """embedded_speed for any bulk speed function of the clamped density."""
     rho_arr = _clamped(np.atleast_1d(np.asarray(rho, dtype=float)),
-                       0.0, law.rho_max, "density")
+                       0.0, rho_max, "density")
     emb = _pointwise(x, t, fleet, shape, mode)
-    out = np.broadcast_to(emb.blended(law.speed(rho_arr)), (emb.n_points,)).copy()
+    out = np.broadcast_to(emb.blended(speed(rho_arr)), (emb.n_points,)).copy()
     if np.ndim(x) == 0 and np.ndim(rho) == 0:
         return float(out[0])
     return out
@@ -266,20 +295,6 @@ def max_dt(fleet: Optional[Fleet], law: SpeedLaw, grid: SpatialGrid) -> float:
     return grid.dx_km / top_speed
 
 
-def _prepared_step(rho: np.ndarray, grid: SpatialGrid, emb: _Embedding,
-                   u_own: np.ndarray, rho_samples: np.ndarray, u_samples: np.ndarray,
-                   dt: float, left_flux: float, right_flux: Optional[float],
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared density update; returns (rho_new, interface fluxes, own speed)."""
-    speed_own = np.broadcast_to(np.asarray(emb.blended(u_own), dtype=float),
-                                (emb.n_points,))
-    sigma, flux_max = _critical_tables(emb, rho_samples, u_samples)
-    fluxes = _interface_fluxes(rho, rho * speed_own, sigma, flux_max,
-                               left_flux, right_flux)
-    rho_new = rho - (dt / grid.dx_km) * np.diff(fluxes)
-    return rho_new, fluxes, speed_own
-
-
 def ctm_step(state: MacroState1, grid: SpatialGrid, t: float, dt: float,
              law: SpeedLaw, fleet: Optional[Fleet] = None,
              shape: Optional[CutoffShape] = None,
@@ -305,9 +320,9 @@ def ctm_step(state: MacroState1, grid: SpatialGrid, t: float, dt: float,
     rho_samples = sampling.samples(law.rho_max)
     u_samples = np.asarray(law.speed(rho_samples), dtype=float)
     u_own = np.asarray(law.speed(rho), dtype=float)
-    rho_new, _, _ = _prepared_step(rho, grid, emb, u_own, rho_samples, u_samples,
-                                   dt, left_flux, right_flux)
-    return MacroState1(rho=rho_new)
+    _, flux_own, send, recv = _cell_capacities(rho, emb, u_own, rho_samples, u_samples)
+    fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
+    return MacroState1(rho=rho - (dt / grid.dx_km) * np.diff(fluxes))
 
 
 def run_ctm(state: MacroState1, grid: SpatialGrid, dt: float, n_steps: int,

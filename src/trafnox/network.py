@@ -293,16 +293,16 @@ def merge_fluxes(s_main: float, s_side: float, r_out: float,
 # ---------------------------------------------------------------------------
 
 def sensor_boundary(series: SensorSeries, t: float, road: Road,
-                    fleet: Optional[Fleet] = None, shape=None,
-                    sampling: FluxSamplingConfig = FluxSamplingConfig(),
-                    ) -> tuple[float, float]:
+                    recv: float) -> tuple[float, float]:
     """(inflow flux, ghost w) from the piecewise-constant sensor record.
 
-    The sensor flux at minute floor(60 t) is clamped to [0, receiving
-    capacity of the first cell].  The ghost w inverts the sensor speed at
-    the implied boundary density flux/speed; after the road steps, the first
-    cell's w is re-inverted at the new density (see network_step).  Outside
-    the sensor span the inflow is zero, with a warning.
+    The sensor flux at minute floor(60 t) is clamped to [0, recv], where
+    recv is the receiving capacity of the road's first cell at t: the first
+    value of boundary_capacities, which network_step takes from its
+    junction phase.  The ghost w inverts the sensor speed at the implied
+    boundary density flux/speed; after the road steps, the first cell's w
+    is re-inverted at the new density (see network_step).  Outside the
+    sensor span the inflow is zero, with a warning.
     """
     record = series.at_time(t)
     if record is None:
@@ -312,8 +312,6 @@ def sensor_boundary(series: SensorSeries, t: float, road: Road,
         )
         return 0.0, float(road.state.w[0])
     q_sens, v_sens = record
-    recv, _ = boundary_capacities(road.state, road.grid, t, road.diagram,
-                                  fleet, shape, sampling)
     q_in = min(q_sens, recv)
     if v_sens <= _SPEED_TOL_KMH:
         return q_in, float(road.state.w[0])
@@ -346,7 +344,8 @@ def _sensor_w_or_keep(rho0: float, v_sens: float, w_keep: float,
 def _resolve_boundaries(net: RoadNetwork, t: float,
                         fleets: Mapping[str, Fleet], shape,
                         sampling: FluxSamplingConfig):
-    """Serial junction phase: per-road (left_flux, left_w, right_flux)."""
+    """Serial junction phase: per-road (left_flux, left_w, right_flux) and
+    the per-road boundary capacities (receiving first, sending last)."""
     road_ids = set(net.road_ids)
     caps = {}
     w_last = {}
@@ -417,7 +416,7 @@ def _resolve_boundaries(net: RoadNetwork, t: float,
         else:
             left_w[mrg.out_road] = None
 
-    return left_flux, left_w, right_flux
+    return left_flux, left_w, right_flux, caps
 
 
 def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
@@ -438,12 +437,12 @@ def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
     if dt > bound * (1.0 + 1e-12):
         raise SimulationError(
             f"time step {dt} exceeds the tightest road bound {bound}")
-    left_flux, left_w, right_flux = _resolve_boundaries(net, t, fleets, shape,
-                                                        sampling)
+    left_flux, left_w, right_flux, caps = _resolve_boundaries(net, t, fleets,
+                                                              shape, sampling)
     sensor_speeds: dict[str, float] = {}
     for road_id, series in net.sensors.items():
         q_in, w_ghost = sensor_boundary(series, t, net.road(road_id),
-                                        fleets.get(road_id), shape, sampling)
+                                        caps[road_id][0])
         left_flux[road_id] = q_in
         left_w[road_id] = w_ghost if q_in > 0.0 else None
         record = series.at_time(t)

@@ -643,6 +643,20 @@ def _road_dump(quantity: str, cfg: ScenarioConfig, grid: SpatialGrid,
                      dx_km=grid.dx_km, dt_h=dt_rows_h, rows=np.array(rows))
 
 
+def _observe_road(state: MacroState2, grid: SpatialGrid, t: float,
+                  diag: CgarzDiagram, fleet: Optional[Fleet],
+                  shape: CutoffShape, emission_row) -> dict[str, np.ndarray]:
+    """A second-order road's recorded fields at t: rho, w, speed, accel and,
+    with an emission formula, emission."""
+    speed = np.asarray(embedded_speed_2(grid.centers(), t, state.rho, state.w,
+                                        fleet, diag, shape))
+    accel = acceleration_field(state, grid, t, diag, fleet, shape).a_kmh2
+    fields = {"rho": state.rho, "w": state.w, "speed": speed, "accel": accel}
+    if emission_row is not None:
+        fields["emission"] = emission_row(state.rho, speed, accel, grid.dx_km)
+    return fields
+
+
 def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     diag = cfg.diagram.build()
     grid = SpatialGrid(a_km=cfg.road_a_km, b_km=cfg.road_b_km,
@@ -663,7 +677,6 @@ def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
         dispersion = _DispersionRun(
             cfg.diffusion, {cfg.road_id: (grid.dx_km, grid.n_cells)})
 
-    centers = grid.centers()
     rows: dict[str, list] = {"rho": [], "w": [], "speed": [], "accel": []}
     if emission_row is not None:
         rows["emission"] = []
@@ -673,21 +686,13 @@ def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
         t_next = (n + 1) * dt
         recording = (n + 1) % cfg.record_every == 0
         if recording or dispersion is not None:
-            speed = np.asarray(embedded_speed_2(
-                centers, t_next, state.rho, state.w, embed_fleet, diag, shape))
-            accel = acceleration_field(state, grid, t_next, diag, embed_fleet,
-                                       shape).a_kmh2
-            emis = (None if emission_row is None
-                    else emission_row(state.rho, speed, accel, grid.dx_km))
+            fields = _observe_road(state, grid, t_next, diag, embed_fleet,
+                                   shape, emission_row)
             if dispersion is not None:
-                dispersion.step({cfg.road_id: emis}, dt)
+                dispersion.step({cfg.road_id: fields["emission"]}, dt)
             if recording:
-                rows["rho"].append(state.rho)
-                rows["w"].append(state.w)
-                rows["speed"].append(speed)
-                rows["accel"].append(accel)
-                if emission_row is not None:
-                    rows["emission"].append(emis)
+                for name, row in fields.items():
+                    rows[name].append(row)
                 if dispersion is not None:
                     dispersion.record()
 
@@ -743,22 +748,12 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
         emissions: dict[str, np.ndarray] = {}
         for rid in road_ids:
             road = net.road(rid)
-            fleet = embed_fleets.get(rid)
-            speed = np.asarray(embedded_speed_2(
-                road.grid.centers(), t_next, road.state.rho, road.state.w,
-                fleet, road.diagram, shape))
-            accel = acceleration_field(road.state, road.grid, t_next,
-                                       road.diagram, fleet, shape).a_kmh2
-            if emission_row is not None:
-                emissions[rid] = emission_row(road.state.rho, speed, accel,
-                                              road.grid.dx_km)
+            fields = _observe_road(road.state, road.grid, t_next, road.diagram,
+                                   embed_fleets.get(rid), shape, emission_row)
+            emissions[rid] = fields.get("emission")
             if recording:
-                rows[f"rho.{rid}"].append(road.state.rho)
-                rows[f"w.{rid}"].append(road.state.w)
-                rows[f"speed.{rid}"].append(speed)
-                rows[f"accel.{rid}"].append(accel)
-                if emission_row is not None:
-                    rows[f"emission.{rid}"].append(emissions[rid])
+                for name, row in fields.items():
+                    rows[f"{name}.{rid}"].append(row)
         if dispersion is not None:
             dispersion.step(emissions, dt)
             if recording:

@@ -114,7 +114,8 @@ def test_randomized_embedded_runs_keep_density_in_bounds():
             hi = max(hi, float(state.rho.max()))
         assert lo >= 0.0
         assert hi <= law.rho_max
-    assert time.perf_counter() - started < 60.0
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0, f"1000-run sweep took {elapsed:.2f} s of its 60 s budget"
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,8 @@ def test_embedded_trajectories_shrink_emission_gap():
         gap_with = model_gap(subset)
         assert 1e-3 <= gap_with <= 2e-2
         assert gap_without >= 2.0 * gap_with
-    assert time.perf_counter() - started < 300.0
+    elapsed = time.perf_counter() - started
+    assert elapsed < 300.0, f"probe-count study took {elapsed:.2f} s of its 300 s budget"
 
 
 # ---------------------------------------------------------------------------

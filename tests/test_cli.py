@@ -294,6 +294,16 @@ def test_validate_network_scenario_with_sensors(tmp_path, capsys):
     assert main(["validate", "--config", config]) == 0
 
 
+SHIPPED_SCENARIOS = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("config", SHIPPED_SCENARIOS, ids=lambda p: p.name)
+def test_validate_accepts_every_shipped_scenario(config, capsys):
+    assert main(["validate", "--config", str(config)]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

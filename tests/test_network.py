@@ -1,11 +1,14 @@
 """Network coupling: junction flux rules, sensors, coupled stepping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trafnox.core import (
     CgarzDiagram,
     ConfigError,
+    CutoffShape,
     MacroState2,
     SimulationError,
     SpatialGrid,
@@ -14,6 +17,8 @@ from trafnox.core import (
 )
 from trafnox.gsom import boundary_capacities, max_dt_2
 from trafnox.gsom import step as gsom_step
+from trafnox.lagrangian import Fleet, Trajectory
+from trafnox.lwr import FluxSamplingConfig
 from trafnox.network import (
     DivergeJunction,
     MergeJunction,
@@ -154,23 +159,29 @@ def test_sensor_series_validation():
 # sensor boundary
 # ---------------------------------------------------------------------------
 
+def _first_cell_recv(road, t):
+    return boundary_capacities(road.state, road.grid, t, road.diagram)[0]
+
+
 def test_sensor_boundary_zero_flux():
     road = Road.empty("1", 5.0, 10, DIAG)
-    q, _ = sensor_boundary(_constant_sensor("1", 0.0, 50.0), 0.1, road)
+    q, _ = sensor_boundary(_constant_sensor("1", 0.0, 50.0), 0.1, road,
+                           _first_cell_recv(road, 0.1))
     assert q == 0.0
 
 
 def test_sensor_boundary_clamps_to_receiving_capacity():
     road = Road.empty("1", 5.0, 10, DIAG)
-    recv, _ = boundary_capacities(road.state, road.grid, 0.0, DIAG)
-    q, _ = sensor_boundary(_constant_sensor("1", 10 * recv, 60.0), 0.0, road)
+    recv = _first_cell_recv(road, 0.0)
+    q, _ = sensor_boundary(_constant_sensor("1", 10 * recv, 60.0), 0.0, road, recv)
     assert q == recv
 
 
 def test_sensor_boundary_inverts_speed_at_implied_density():
     road = Road.empty("1", 5.0, 10, DIAG, w0=DIAG.w_right)
     q_sens, v_sens = 1120.0, 60.0
-    q, w_b = sensor_boundary(_constant_sensor("1", q_sens, v_sens), 0.0, road)
+    q, w_b = sensor_boundary(_constant_sensor("1", q_sens, v_sens), 0.0, road,
+                             _first_cell_recv(road, 0.0))
     assert q == q_sens  # well under capacity
     assert float(cgarz_speed(q_sens / v_sens, w_b, DIAG)) == pytest.approx(
         v_sens, abs=1e-6)
@@ -181,7 +192,8 @@ def test_sensor_boundary_out_of_span_warns_and_zeroes(caplog):
     series = _constant_sensor("1", 500.0, 60.0, n_minutes=3)
     import logging
     with caplog.at_level(logging.WARNING, logger="trafnox.network"):
-        q, w_b = sensor_boundary(series, 1.0, road)  # minute 60, span 0..2
+        q, w_b = sensor_boundary(series, 1.0, road,  # minute 60, span 0..2
+                                 _first_cell_recv(road, 1.0))
     assert q == 0.0
     assert w_b == float(road.state.w[0])
     assert any("no record" in rec.message for rec in caplog.records)
@@ -371,3 +383,31 @@ def test_boundary_capacities_match_step_internals():
     _, fluxes = gsom_step(state, grid, 0.0, 0.5 * max_dt_2(None, DIAG, grid),
                           DIAG, right_flux=send, return_fluxes=True)
     assert float(fluxes[-1]) == send
+
+
+def test_sensor_inflow_is_capped_by_the_embedded_first_cell():
+    """With a slow tracked vehicle over the first cells of sensor road 1, the
+    realized inflow is the sensor flux capped by that road's receiving
+    capacity with the vehicle blended in, as boundary_capacities reports it."""
+    shape = CutoffShape(ell=0.2, big_l=0.6)
+    sampling = FluxSamplingConfig(n_rho_samples=64)
+    fleet = Fleet((Trajectory.from_line("probe", 0.1, 5.0, 0.0, 1.0),))
+    net = build_six_road_network(DIAG, dx_km=0.5)
+    road1 = net.road("1").with_state(
+        MacroState2(rho=np.full(82, 20.0), w=np.full(82, DIAG.w_right)))
+    net = dataclasses.replace(
+        net.with_states({"1": road1.state}),
+        sensors={"1": _constant_sensor("1", 5000.0, 60.0)})
+    dt = 0.5 * min(max_dt_2(fleet, road.diagram, road.grid) for road in net.roads)
+    t = 0.02  # the vehicle is at 0.2 km, over the first cell (center 0.25 km)
+    recv = boundary_capacities(road1.state, road1.grid, t, DIAG, fleet, shape,
+                               sampling)[0]
+    free_recv = boundary_capacities(road1.state, road1.grid, t, DIAG,
+                                    sampling=sampling)[0]
+    assert recv < free_recv < 5000.0  # the vehicle tightens the binding cap
+    new_net, report = network_step(net, t, {"1": fleet}, dt, shape, sampling,
+                                   return_report=True)
+    assert report.inflow["1"] == min(5000.0, recv)
+    gained = report.mass_after - report.mass_before
+    assert gained == pytest.approx(dt * report.flux_balance, abs=1e-9)
+
