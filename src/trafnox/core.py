@@ -102,10 +102,6 @@ class TimeGrid:
         n = max(1, math.ceil(horizon_h / dt_h - 1e-9))
         return cls(horizon_h=horizon_h, dt_h=dt_h, n_steps=n)
 
-    def times(self) -> np.ndarray:
-        """Step start times t_n = n dt, n = 0..n_steps-1."""
-        return np.arange(self.n_steps) * self.dt_h
-
 
 # ---------------------------------------------------------------------------
 # fundamental diagrams

@@ -64,14 +64,11 @@ def _cell_tables(state: MacroState2, grid: SpatialGrid, t: float,
                  shape: Optional[CutoffShape], sampling: FluxSamplingConfig):
     """Clamped (rho, w) and the _cell_capacities arrays of the CGARZ flux,
     sampled per cell at that cell's w."""
-    rho = _clamped(state.rho, 0.0, diag.rho_max, "density")
     w = _clamped(state.w, diag.w_left, diag.w_right, "property w")
-    emb = _Embedding(grid.centers(), t, fleet, shape, _CLOSEST)
-    rho_samples = sampling.samples(diag.rho_max)
-    u_samples = np.asarray(cgarz_speed(rho_samples[:, None], w[None, :], diag),
-                           dtype=float)
-    u_own = np.asarray(cgarz_speed(rho, w, diag), dtype=float)
-    return rho, w, _cell_capacities(rho, emb, u_own, rho_samples, u_samples)
+    rho, capacities = _cell_capacities(
+        grid.centers(), t, state.rho, diag.rho_max,
+        lambda r: cgarz_speed(r, w, diag), fleet, shape, _CLOSEST, sampling)
+    return rho, w, capacities
 
 
 def boundary_capacities(state: MacroState2, grid: SpatialGrid, t: float,
@@ -81,41 +78,23 @@ def boundary_capacities(state: MacroState2, grid: SpatialGrid, t: float,
                         ) -> tuple[float, float]:
     """(receiving capacity of the first cell, sending capacity of the last).
 
-    The two ends of the receiving and sending arrays that step builds from
-    the same state and time, so a boundary flux capped by these values
-    passes through the step's interface min() unchanged: junction
-    conservation in network runs is exact by construction.
+    The two ends of the receiving and sending arrays that _cell_tables builds
+    from the same state and time.  network_step caps a road's junction and
+    sensor fluxes with these ends of the very tables the road then advances
+    from, so a boundary flux capped by these values passes through the
+    step's interface min() unchanged and junction conservation is exact.
     """
     _, _, (_, _, send, recv) = _cell_tables(state, grid, t, diag, fleet, shape,
                                             sampling)
     return float(recv[0]), float(send[-1])
 
 
-def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
-         diag: CgarzDiagram, fleet: Optional[Fleet] = None,
-         shape: Optional[CutoffShape] = None,
-         sampling: FluxSamplingConfig = FluxSamplingConfig(),
-         left_flux: float = 0.0, right_flux: Optional[float] = None,
-         left_w: Optional[float] = None,
-         return_fluxes: bool = False):
-    """One step of the two-field scheme.
-
-    rho: conservative update with sending/receiving built from Q = rho * V
-    and a per-cell critical density sampled with that cell's w.
-    w: upwind advection w_j -= (dt/dx) V_j (w_j - w_{j-1}), the left ghost
-    carrying left_w (defaults to the first cell, homogeneous Neumann).
-
-    Returns the new state, or (state, interface_fluxes) with return_fluxes.
-    """
-    if state.rho.size != grid.n_cells:
-        raise ConfigError(
-            f"state has {state.rho.size} cells but the grid has {grid.n_cells}"
-        )
-    bound = max_dt_2(fleet, diag, grid)
-    if dt > bound * (1.0 + 1e-12):
-        raise SimulationError(f"time step {dt} exceeds the admissible bound {bound}")
-    rho, w, (speed_own, flux_own, send, recv) = _cell_tables(
-        state, grid, t, diag, fleet, shape, sampling)
+def _advance(tables, grid: SpatialGrid, dt: float, diag: CgarzDiagram,
+             left_flux: float, right_flux: Optional[float],
+             left_w: Optional[float]) -> tuple[MacroState2, np.ndarray]:
+    """(new state, interface fluxes) of one step from the _cell_tables of
+    the current state; the caller has checked dt against max_dt_2."""
+    rho, w, (speed_own, flux_own, send, recv) = tables
     fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
     rho_new = rho - (dt / grid.dx_km) * np.diff(fluxes)
     if left_w is None:
@@ -125,10 +104,31 @@ def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
                                  diag.w_right, "left boundary w"))
     w_upstream = np.concatenate(([ghost_w], w[:-1]))
     w_new = w - (dt / grid.dx_km) * speed_own * (w - w_upstream)
-    new_state = MacroState2(rho=rho_new, w=w_new)
-    if return_fluxes:
-        return new_state, fluxes
-    return new_state
+    return MacroState2(rho=rho_new, w=w_new), fluxes
+
+
+def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
+         diag: CgarzDiagram, fleet: Optional[Fleet] = None,
+         shape: Optional[CutoffShape] = None,
+         sampling: FluxSamplingConfig = FluxSamplingConfig(),
+         left_flux: float = 0.0, right_flux: Optional[float] = None,
+         left_w: Optional[float] = None) -> MacroState2:
+    """One step of the two-field scheme.
+
+    rho: conservative update with sending/receiving built from Q = rho * V
+    and a per-cell critical density sampled with that cell's w.
+    w: upwind advection w_j -= (dt/dx) V_j (w_j - w_{j-1}), the left ghost
+    carrying left_w (defaults to the first cell, homogeneous Neumann).
+    """
+    if state.rho.size != grid.n_cells:
+        raise ConfigError(
+            f"state has {state.rho.size} cells but the grid has {grid.n_cells}"
+        )
+    bound = max_dt_2(fleet, diag, grid)
+    if dt > bound * (1.0 + 1e-12):
+        raise SimulationError(f"time step {dt} exceeds the admissible bound {bound}")
+    tables = _cell_tables(state, grid, t, diag, fleet, shape, sampling)
+    return _advance(tables, grid, dt, diag, left_flux, right_flux, left_w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +137,24 @@ def step(state: MacroState2, grid: SpatialGrid, t: float, dt: float,
 
 @dataclass(frozen=True)
 class AccelerationField:
-    """Per-cell acceleration of the embedded speed field, in km/h^2."""
+    """Per-cell embedded speed (km/h) and its material derivative (km/h^2)."""
 
     a_kmh2: np.ndarray
+    speed_kmh: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.a_kmh2, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise ConfigError("acceleration field must be a finite 1-d array")
-        a.flags.writeable = False
-        object.__setattr__(self, "a_kmh2", a)
+        for name in ("a_kmh2", "speed_kmh"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.ndim != 1 or not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} must be a finite 1-d array")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 def acceleration_field(state: MacroState2, grid: SpatialGrid, t: float,
                        diag: CgarzDiagram, fleet: Optional[Fleet] = None,
                        shape: Optional[CutoffShape] = None) -> AccelerationField:
-    """Material derivative of the embedded speed, a = DV/Dt, per cell.
+    """Embedded speed V per cell and its material derivative a = DV/Dt.
 
     The density-coupling term uses the centered finite difference of the
     discrete speed field (its total spatial variation); the remaining terms
@@ -165,7 +167,8 @@ def acceleration_field(state: MacroState2, grid: SpatialGrid, t: float,
          V_x   = chi' v (pdot-v)/(pdot+v),
 
     which reproduces DV/Dt exactly on solutions of the two-field system.
-    Cells where pdot + v = 0 get a = 0 by the zero-speed convention.
+    Cells where pdot + v = 0 get a = 0 by the zero-speed convention.  V is
+    embedded_speed_2 at the cell centers.
     """
     rho = _clamped(state.rho, 0.0, diag.rho_max, "density")
     w = _clamped(state.w, diag.w_left, diag.w_right, "property w")
@@ -189,4 +192,4 @@ def acceleration_field(state: MacroState2, grid: SpatialGrid, t: float,
                   + chi * 2.0 * p_ddot * v * v / (safe * safe))
     a = (-rho * factor * v_rho * vel_x_field
          + vel_t_expl + vel_field * vel_x_expl)
-    return AccelerationField(a_kmh2=np.where(moving, a, 0.0))
+    return AccelerationField(a_kmh2=np.where(moving, a, 0.0), speed_kmh=vel_field)

@@ -133,13 +133,12 @@ def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
                      u_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (sigma, flux_max) from the sampled embedded-flux table.
 
-    u_samples holds bulk speeds at the sample densities: shape (n_samples,)
-    for a shared law, (n_samples, n_points) when the law varies per point.
-    An identically-zero flux column takes the first sample, sigma = 0, so
-    sending and receiving both vanish (blockage at a stopped vehicle).
+    u_samples holds bulk speeds at the sample densities: shape
+    (n_samples, 1) for a shared law, (n_samples, n_points) when the law
+    varies per point.  An identically-zero flux column takes the first
+    sample, sigma = 0, so sending and receiving both vanish (blockage at a
+    stopped vehicle).
     """
-    if u_samples.ndim == 1:
-        u_samples = u_samples[:, None]
     speed_table = np.broadcast_to(
         np.asarray(emb.blended(u_samples), dtype=float),
         (rho_samples.size, emb.n_points),
@@ -151,24 +150,31 @@ def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
     return sigma, flux_max
 
 
-def _cell_capacities(rho: np.ndarray, emb: _Embedding, u_own: np.ndarray,
-                     rho_samples: np.ndarray, u_samples: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell (embedded speed, own flux, sending, receiving) of one step.
+def _cell_capacities(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
+                     speed: Callable[[np.ndarray], ArrayLike],
+                     fleet: Optional[Fleet], shape: Optional[CutoffShape],
+                     mode: EmbeddingMode, sampling: FluxSamplingConfig):
+    """(clamped rho, (embedded speed, own flux, sending, receiving)) at the
+    points x, from one embedding.
 
-    u_own holds the bulk speeds at the cell densities; u_samples as in
-    _critical_tables.  Sending is the cell's own flux up to sigma and the
-    flux cap above it, receiving the reverse.  The step's interface fluxes
-    and a network junction's boundary capacities both read these arrays.
+    speed gives the bulk speed of a density array; the sample densities
+    reach it with a leading sample axis, so it may vary per point.  Sending
+    is the own flux up to sigma and the flux cap above it, receiving the
+    reverse.  The step's interface fluxes, a network junction's boundary
+    capacities and the pointwise sending/receiving all read these arrays.
     """
-    speed_own = np.broadcast_to(np.asarray(emb.blended(u_own), dtype=float),
-                                (emb.n_points,))
-    sigma, flux_max = _critical_tables(emb, rho_samples, u_samples)
+    rho = _clamped(np.atleast_1d(np.asarray(rho, dtype=float)), 0.0, rho_max,
+                   "density")
+    emb = _pointwise(x, t, fleet, shape, mode)
+    rho_samples = sampling.samples(rho_max)
+    sigma, flux_max = _critical_tables(emb, rho_samples,
+                                       speed(rho_samples[:, None]))
+    speed_own = np.broadcast_to(emb.blended(speed(rho)), (emb.n_points,))
     flux_own = rho * speed_own
     below = rho <= sigma
     send = np.where(below, flux_own, flux_max)
     recv = np.where(below, flux_max, flux_own)
-    return speed_own, flux_own, send, recv
+    return rho, (speed_own, flux_own, send, recv)
 
 
 def _interface_fluxes(flux_own: np.ndarray, send: np.ndarray, recv: np.ndarray,
@@ -213,6 +219,11 @@ def _embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
                        0.0, rho_max, "density")
     emb = _pointwise(x, t, fleet, shape, mode)
     out = np.broadcast_to(emb.blended(speed(rho_arr)), (emb.n_points,)).copy()
+    return _query_result(out, x, rho)
+
+
+def _query_result(out: np.ndarray, x: ArrayLike, rho: ArrayLike) -> ArrayLike:
+    """A float for a scalar query point and density, else the array."""
     if np.ndim(x) == 0 and np.ndim(rho) == 0:
         return float(out[0])
     return out
@@ -241,7 +252,7 @@ def critical_density(x: ArrayLike, t: float, fleet: Optional[Fleet], law: SpeedL
     emb = _pointwise(x, t, fleet, shape, mode)
     rho_samples = sampling.samples(law.rho_max)
     sigma, flux_max = _critical_tables(emb, rho_samples,
-                                       np.asarray(law.speed(rho_samples), dtype=float))
+                                       law.speed(rho_samples[:, None]))
     if np.ndim(x) == 0:
         return float(sigma[0]), float(flux_max[0])
     return sigma, flux_max
@@ -251,24 +262,18 @@ def sending(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
             law: SpeedLaw, shape: Optional[CutoffShape], mode: EmbeddingMode,
             sampling: FluxSamplingConfig = FluxSamplingConfig()) -> ArrayLike:
     """Demand: the cell's own flux below sigma, the flux cap above."""
-    sigma, flux_max = critical_density(x, t, fleet, law, shape, mode, sampling)
-    flux_own = embedded_flux(x, t, rho, fleet, law, shape, mode)
-    out = np.where(np.asarray(rho) <= sigma, flux_own, flux_max)
-    if np.ndim(x) == 0 and np.ndim(rho) == 0:
-        return float(out)
-    return out
+    _, (_, _, send, _) = _cell_capacities(x, t, rho, law.rho_max, law.speed,
+                                          fleet, shape, mode, sampling)
+    return _query_result(send, x, rho)
 
 
 def receiving(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
               law: SpeedLaw, shape: Optional[CutoffShape], mode: EmbeddingMode,
               sampling: FluxSamplingConfig = FluxSamplingConfig()) -> ArrayLike:
     """Supply: the flux cap below sigma, the cell's own flux above."""
-    sigma, flux_max = critical_density(x, t, fleet, law, shape, mode, sampling)
-    flux_own = embedded_flux(x, t, rho, fleet, law, shape, mode)
-    out = np.where(np.asarray(rho) <= sigma, flux_max, flux_own)
-    if np.ndim(x) == 0 and np.ndim(rho) == 0:
-        return float(out)
-    return out
+    _, (_, _, _, recv) = _cell_capacities(x, t, rho, law.rho_max, law.speed,
+                                          fleet, shape, mode, sampling)
+    return _query_result(recv, x, rho)
 
 
 def numerical_flux(x_left: float, rho_left: float, x_right: float, rho_right: float,
@@ -315,12 +320,9 @@ def ctm_step(state: MacroState1, grid: SpatialGrid, t: float, dt: float,
     bound = max_dt(fleet, law, grid)
     if dt > bound * (1.0 + 1e-12):
         raise SimulationError(f"time step {dt} exceeds the admissible bound {bound}")
-    rho = _clamped(state.rho, 0.0, law.rho_max, "density")
-    emb = _Embedding(grid.centers(), t, fleet, shape, mode)
-    rho_samples = sampling.samples(law.rho_max)
-    u_samples = np.asarray(law.speed(rho_samples), dtype=float)
-    u_own = np.asarray(law.speed(rho), dtype=float)
-    _, flux_own, send, recv = _cell_capacities(rho, emb, u_own, rho_samples, u_samples)
+    rho, (_, flux_own, send, recv) = _cell_capacities(
+        grid.centers(), t, state.rho, law.rho_max, law.speed, fleet, shape, mode,
+        sampling)
     fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
     return MacroState1(rho=rho - (dt / grid.dx_km) * np.diff(fluxes))
 

@@ -29,7 +29,11 @@ from .core import (
     cgarz_speed,
     invert_speed_in_w,
 )
-from .gsom import boundary_capacities, max_dt_2, step
+from .gsom import _advance, _cell_tables, max_dt_2
+# Not called here: bound because perfbench/tracing.py wraps this name.
+from .gsom import boundary_capacities  # noqa: F401
+# Not called here: bound because perfbench/tracing.py wraps this name.
+from .gsom import step  # noqa: F401
 from .lagrangian import Fleet
 from .lwr import FluxSamplingConfig
 
@@ -297,12 +301,13 @@ def sensor_boundary(series: SensorSeries, t: float, road: Road,
     """(inflow flux, ghost w) from the piecewise-constant sensor record.
 
     The sensor flux at minute floor(60 t) is clamped to [0, recv], where
-    recv is the receiving capacity of the road's first cell at t: the first
-    value of boundary_capacities, which network_step takes from its
-    junction phase.  The ghost w inverts the sensor speed at the implied
-    boundary density flux/speed; after the road steps, the first cell's w
-    is re-inverted at the new density (see network_step).  Outside the
-    sensor span the inflow is zero, with a warning.
+    recv is the receiving capacity of the road's first cell at t, which
+    network_step reads from the cell tables the road then advances from
+    (the first value of boundary_capacities).  The ghost w inverts the
+    sensor speed at the implied boundary density flux/speed; after the road
+    steps, the first cell's w is re-inverted at the new density (see
+    network_step).  Outside the sensor span the inflow is zero, with a
+    warning.
     """
     record = series.at_time(t)
     if record is None:
@@ -341,19 +346,12 @@ def _sensor_w_or_keep(rho0: float, v_sens: float, w_keep: float,
 # network stepping
 # ---------------------------------------------------------------------------
 
-def _resolve_boundaries(net: RoadNetwork, t: float,
-                        fleets: Mapping[str, Fleet], shape,
-                        sampling: FluxSamplingConfig):
-    """Serial junction phase: per-road (left_flux, left_w, right_flux) and
+def _resolve_boundaries(net: RoadNetwork,
+                        caps: Mapping[str, tuple[float, float]]):
+    """Serial junction phase: per-road (left_flux, left_w, right_flux) from
     the per-road boundary capacities (receiving first, sending last)."""
     road_ids = set(net.road_ids)
-    caps = {}
-    w_last = {}
-    for road in net.roads:
-        caps[road.road_id] = boundary_capacities(
-            road.state, road.grid, t, road.diagram,
-            fleets.get(road.road_id), shape, sampling)
-        w_last[road.road_id] = float(road.state.w[-1])
+    w_last = {road.road_id: float(road.state.w[-1]) for road in net.roads}
 
     # diverges post their alpha-split demands (connectors carry the upstream w)
     demands = {}
@@ -416,7 +414,7 @@ def _resolve_boundaries(net: RoadNetwork, t: float,
         else:
             left_w[mrg.out_road] = None
 
-    return left_flux, left_w, right_flux, caps
+    return left_flux, left_w, right_flux
 
 
 def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
@@ -425,11 +423,13 @@ def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
                  return_report: bool = False):
     """Advance every road by dt with junction/sensor boundary coupling.
 
-    Junction fluxes are resolved once at time t against the current states,
-    then each road steps independently; junction conservation is exact
-    because the same flux value caps the upstream road and feeds the
-    downstream one.  Sensor-driven roads take the sensor flux as inflow and
-    re-invert their first cell's w against the sensor speed after stepping.
+    Each road's cell tables are built once, at time t from its current
+    state.  Junction and sensor fluxes are resolved against the ends of
+    those tables, then each road advances from the same tables: junction
+    conservation is exact because the same flux value caps the upstream
+    road and feeds the downstream one.  Sensor-driven roads take the sensor
+    flux as inflow and re-invert their first cell's w against the sensor
+    speed after stepping.
     Returns the new network, or (network, NetworkFlowReport).
     """
     bound = min(max_dt_2(fleets.get(road.road_id), road.diagram, road.grid)
@@ -437,8 +437,12 @@ def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
     if dt > bound * (1.0 + 1e-12):
         raise SimulationError(
             f"time step {dt} exceeds the tightest road bound {bound}")
-    left_flux, left_w, right_flux, caps = _resolve_boundaries(net, t, fleets,
-                                                              shape, sampling)
+    tables = {road.road_id: _cell_tables(road.state, road.grid, t, road.diagram,
+                                         fleets.get(road.road_id), shape, sampling)
+              for road in net.roads}
+    caps = {rid: (float(recv[0]), float(send[-1]))
+            for rid, (_, _, (_, _, send, recv)) in tables.items()}
+    left_flux, left_w, right_flux = _resolve_boundaries(net, caps)
     sensor_speeds: dict[str, float] = {}
     for road_id, series in net.sensors.items():
         q_in, w_ghost = sensor_boundary(series, t, net.road(road_id),
@@ -454,10 +458,9 @@ def network_step(net: RoadNetwork, t: float, fleets: Mapping[str, Fleet],
     outflow: dict[str, float] = {}
     for road in net.roads:
         rid = road.road_id
-        new_state, fluxes = step(
-            road.state, road.grid, t, dt, road.diagram, fleets.get(rid), shape,
-            sampling, left_flux.get(rid, 0.0), right_flux[rid],
-            left_w.get(rid), return_fluxes=True)
+        new_state, fluxes = _advance(
+            tables[rid], road.grid, dt, road.diagram, left_flux.get(rid, 0.0),
+            right_flux[rid], left_w.get(rid))
         if rid in sensor_speeds:
             w_fixed = new_state.w.copy()
             w_fixed[0] = _sensor_w_or_keep(

@@ -35,7 +35,9 @@ from .diffusion import (ConcentrationField, Domain2D, RoadStrip, build_source,
 from .emissions import (EmissionCoefficients, ExpMatrix, emission_exp_macro,
                         emission_max_macro, from_solver_units,
                         load_coefficients)
-from .gsom import acceleration_field, embedded_speed_2, max_dt_2
+from .gsom import acceleration_field, max_dt_2
+# Not called here: bound because perfbench/tracing.py wraps this name.
+from .gsom import embedded_speed_2  # noqa: F401
 from .gsom import step as gsom_step
 from .lagrangian import (Fleet, FtlConfig, FtlState, KdeConfig,
                          generate_synthetic, kde_density, kde_velocity,
@@ -630,15 +632,15 @@ def _run_lwr(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
 
     dt_rows = cfg.record_every * dt
     dumps = {
-        "rho": _road_dump("rho", cfg, grid, dt_rows, rows_rho),
-        "speed": _road_dump("speed", cfg, grid, dt_rows, rows_speed),
+        "rho": _road_dump("rho", grid, dt_rows, rows_rho),
+        "speed": _road_dump("speed", grid, dt_rows, rows_speed),
     }
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps}
     return dumps, meta
 
 
-def _road_dump(quantity: str, cfg: ScenarioConfig, grid: SpatialGrid,
-               dt_rows_h: float, rows: list) -> FieldDump:
+def _road_dump(quantity: str, grid: SpatialGrid, dt_rows_h: float,
+               rows: list) -> FieldDump:
     return FieldDump(quantity=quantity, a_km=grid.a_km, b_km=grid.b_km,
                      dx_km=grid.dx_km, dt_h=dt_rows_h, rows=np.array(rows))
 
@@ -648,13 +650,64 @@ def _observe_road(state: MacroState2, grid: SpatialGrid, t: float,
                   shape: CutoffShape, emission_row) -> dict[str, np.ndarray]:
     """A second-order road's recorded fields at t: rho, w, speed, accel and,
     with an emission formula, emission."""
-    speed = np.asarray(embedded_speed_2(grid.centers(), t, state.rho, state.w,
-                                        fleet, diag, shape))
-    accel = acceleration_field(state, grid, t, diag, fleet, shape).a_kmh2
+    observed = acceleration_field(state, grid, t, diag, fleet, shape)
+    speed, accel = observed.speed_kmh, observed.a_kmh2
     fields = {"rho": state.rho, "w": state.w, "speed": speed, "accel": accel}
     if emission_row is not None:
         fields["emission"] = emission_row(state.rho, speed, accel, grid.dx_km)
     return fields
+
+
+def _record_roads(cfg: ScenarioConfig, diag: CgarzDiagram,
+                  grids: Mapping[str, SpatialGrid],
+                  states: Mapping[str, MacroState2], advance,
+                  fleets: Mapping[str, Optional[Fleet]], shape: CutoffShape,
+                  t0: float, dt: float, n_steps: int,
+                  suffixed: bool) -> dict[str, FieldDump]:
+    """The second-order step -> observe -> disperse -> record loop.
+
+    ``advance(t, states)`` returns every road's state one step of dt after
+    t.  Each step feeds the roads' emissions to the dispersion run, and
+    every record_every-th step appends the observed fields; dump keys are
+    ``<quantity>.<road>`` when ``suffixed``, else ``<quantity>``.
+    """
+    emission_row = _emission_evaluator(cfg)
+    dispersion = None
+    if cfg.diffusion is not None:
+        dispersion = _DispersionRun(
+            cfg.diffusion,
+            {rid: (grid.dx_km, grid.n_cells) for rid, grid in grids.items()})
+    quantities = ["rho", "w", "speed", "accel"]
+    if emission_row is not None:
+        quantities.append("emission")
+    rows = {rid: {q: [] for q in quantities} for rid in grids}
+    for n in range(n_steps):
+        states = advance(t0 + n * dt, states)
+        t_next = t0 + (n + 1) * dt
+        recording = (n + 1) % cfg.record_every == 0
+        if not recording and dispersion is None:
+            continue
+        emissions: dict[str, np.ndarray] = {}
+        for rid, grid in grids.items():
+            fields = _observe_road(states[rid], grid, t_next, diag,
+                                   fleets.get(rid), shape, emission_row)
+            emissions[rid] = fields.get("emission")
+            if recording:
+                for name, row in fields.items():
+                    rows[rid][name].append(row)
+        if dispersion is not None:
+            dispersion.step(emissions, dt)
+            if recording:
+                dispersion.record()
+
+    dt_rows = cfg.record_every * dt
+    dumps = {f"{q}.{rid}" if suffixed else q:
+             _road_dump(q, grids[rid], dt_rows, data)
+             for rid, by_quantity in rows.items()
+             for q, data in by_quantity.items()}
+    if dispersion is not None:
+        dumps["psi"] = dispersion.dump(dt_rows)
+    return dumps
 
 
 def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
@@ -665,42 +718,20 @@ def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     embed_fleet = data_fleet if cfg.embedding == "cv" else None
     shape = cfg.cutoff_shape()
     sampling = cfg.sampling()
-    emission_row = _emission_evaluator(cfg)
 
     bound = max_dt_2(embed_fleet, diag, grid)
     dt = cfg.dt_h if cfg.dt_h is not None else cfg.cfl_safety * bound
     timing = TimeGrid.from_horizon(horizon_h=cfg.horizon_h, dt_h=dt)
-    state = _initial_state_2(cfg, grid, diag, data_fleet)
+    rid = cfg.road_id
 
-    dispersion = None
-    if cfg.diffusion is not None:
-        dispersion = _DispersionRun(
-            cfg.diffusion, {cfg.road_id: (grid.dx_km, grid.n_cells)})
+    def advance(t, states):
+        return {rid: gsom_step(states[rid], grid, t, dt, diag, embed_fleet,
+                               shape, sampling, cfg.left_flux_veh_h, None)}
 
-    rows: dict[str, list] = {"rho": [], "w": [], "speed": [], "accel": []}
-    if emission_row is not None:
-        rows["emission"] = []
-    for n in range(timing.n_steps):
-        state = gsom_step(state, grid, n * dt, dt, diag, embed_fleet, shape,
-                          sampling, cfg.left_flux_veh_h, None)
-        t_next = (n + 1) * dt
-        recording = (n + 1) % cfg.record_every == 0
-        if recording or dispersion is not None:
-            fields = _observe_road(state, grid, t_next, diag, embed_fleet,
-                                   shape, emission_row)
-            if dispersion is not None:
-                dispersion.step({cfg.road_id: fields["emission"]}, dt)
-            if recording:
-                for name, row in fields.items():
-                    rows[name].append(row)
-                if dispersion is not None:
-                    dispersion.record()
-
-    dt_rows = cfg.record_every * dt
-    dumps = {name: _road_dump(name, cfg, grid, dt_rows, data)
-             for name, data in rows.items()}
-    if dispersion is not None:
-        dumps["psi"] = dispersion.dump(dt_rows)
+    dumps = _record_roads(
+        cfg, diag, {rid: grid},
+        {rid: _initial_state_2(cfg, grid, diag, data_fleet)}, advance,
+        {rid: embed_fleet}, shape, 0.0, dt, timing.n_steps, suffixed=False)
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps}
     return dumps, meta
 
@@ -714,7 +745,6 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
                                  betas=ncfg.betas, w0=cfg.initial.w0)
     shape = cfg.cutoff_shape()
     sampling = cfg.sampling()
-    emission_row = _emission_evaluator(cfg)
     embed_fleets = ({rid: fleet.subsample(cfg.embed_subsample)
                      for rid, fleet in fleets.items()}
                     if cfg.embedding == "cv" else {})
@@ -724,51 +754,18 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
     dt = cfg.dt_h if cfg.dt_h is not None else cfg.cfl_safety * bound
     net = warm_start(net, sensors, embed_fleets, ncfg.warm_start_h,
                      dt_h=dt, shape=shape, sampling=sampling, t0=0.0)
-
-    dispersion = None
-    if cfg.diffusion is not None:
-        geometry = {road.road_id: (road.grid.dx_km, road.grid.n_cells)
-                    for road in net.roads}
-        dispersion = _DispersionRun(cfg.diffusion, geometry)
-
     timing = TimeGrid.from_horizon(horizon_h=cfg.horizon_h, dt_h=dt)
-    t0 = ncfg.warm_start_h
-    road_ids = sorted(road.road_id for road in net.roads)
-    quantities = ["rho", "w", "speed", "accel"]
-    if emission_row is not None:
-        quantities.append("emission")
-    rows: dict[str, list] = {f"{q}.{rid}": []
-                             for q in quantities for rid in road_ids}
-    for n in range(timing.n_steps):
-        net = network_step(net, t0 + n * dt, embed_fleets, dt, shape, sampling)
-        t_next = t0 + (n + 1) * dt
-        recording = (n + 1) % cfg.record_every == 0
-        if not recording and dispersion is None:
-            continue
-        emissions: dict[str, np.ndarray] = {}
-        for rid in road_ids:
-            road = net.road(rid)
-            fields = _observe_road(road.state, road.grid, t_next, road.diagram,
-                                   embed_fleets.get(rid), shape, emission_row)
-            emissions[rid] = fields.get("emission")
-            if recording:
-                for name, row in fields.items():
-                    rows[f"{name}.{rid}"].append(row)
-        if dispersion is not None:
-            dispersion.step(emissions, dt)
-            if recording:
-                dispersion.record()
 
-    dt_rows = cfg.record_every * dt
-    dumps = {}
-    for key, data in rows.items():
-        quantity, rid = key.split(".", 1)
-        road = net.road(rid)
-        dumps[key] = FieldDump(quantity=quantity, a_km=road.grid.a_km,
-                               b_km=road.grid.b_km, dx_km=road.grid.dx_km,
-                               dt_h=dt_rows, rows=np.array(data))
-    if dispersion is not None:
-        dumps["psi"] = dispersion.dump(dt_rows)
+    def advance(t, states):
+        stepped = network_step(net.with_states(states), t, embed_fleets, dt,
+                               shape, sampling)
+        return {road.road_id: road.state for road in stepped.roads}
+
+    dumps = _record_roads(
+        cfg, diag, {road.road_id: road.grid for road in net.roads},
+        {road.road_id: road.state for road in net.roads}, advance,
+        embed_fleets, shape, ncfg.warm_start_h, dt, timing.n_steps,
+        suffixed=True)
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps,
             "warm_start_h": ncfg.warm_start_h}
     return dumps, meta

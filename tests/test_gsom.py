@@ -17,13 +17,15 @@ from trafnox.core import (
 )
 from trafnox.gsom import (
     AccelerationField,
+    _advance,
+    _cell_tables,
     acceleration_field,
     embedded_speed_2,
     max_dt_2,
     step,
 )
 from trafnox.lagrangian import Fleet, Trajectory
-from trafnox.lwr import EmbeddingMode, ctm_step, max_dt
+from trafnox.lwr import EmbeddingMode, FluxSamplingConfig, ctm_step, max_dt
 
 DIAG = CgarzDiagram.from_densities(rho_max=56.0, rho_f=10.0, v_max=90.0)
 SHAPE = CutoffShape(ell=0.2, big_l=0.6)
@@ -133,9 +135,13 @@ def test_step_mass_balance_with_reported_fluxes():
     state = MacroState2(rho=rng.uniform(0.0, 56.0, size=30),
                         w=rng.uniform(DIAG.w_left, DIAG.w_right, size=30))
     dt = 0.5 * max_dt_2(fleet, DIAG, grid)
-    new_state, fluxes = step(state, grid, 0.0, dt, DIAG, fleet, SHAPE,
-                             left_flux=700.0, return_fluxes=True)
+    tables = _cell_tables(state, grid, 0.0, DIAG, fleet, SHAPE,
+                          FluxSamplingConfig())
+    new_state, fluxes = _advance(tables, grid, dt, DIAG, 700.0, None, None)
     assert fluxes.shape == (31,)
+    stepped = step(state, grid, 0.0, dt, DIAG, fleet, SHAPE, left_flux=700.0)
+    assert np.array_equal(new_state.rho, stepped.rho)
+    assert np.array_equal(new_state.w, stepped.w)
     old_mass = float(np.sum(state.rho)) * grid.dx_km
     new_mass = float(np.sum(new_state.rho)) * grid.dx_km
     assert new_mass == pytest.approx(
@@ -234,10 +240,29 @@ def test_acceleration_zero_speed_convention():
 
 
 def test_acceleration_field_validation():
+    ok = np.array([1.0, 2.0])
+    field = AccelerationField(a_kmh2=ok, speed_kmh=ok)
+    assert not field.speed_kmh.flags.writeable
     with pytest.raises(ConfigError):
-        AccelerationField(a_kmh2=np.array([1.0, np.nan]))
+        AccelerationField(a_kmh2=np.array([1.0, np.nan]), speed_kmh=ok)
     with pytest.raises(ConfigError):
-        AccelerationField(a_kmh2=np.ones((2, 2)))
+        AccelerationField(a_kmh2=np.ones((2, 2)), speed_kmh=ok)
+    with pytest.raises(ConfigError):
+        AccelerationField(a_kmh2=ok, speed_kmh=np.array([np.inf, 1.0]))
+    with pytest.raises(ConfigError):
+        AccelerationField(a_kmh2=ok, speed_kmh=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("fleet", [None, _fleet_at((0.9, 20.0), (2.2, 70.0))])
+def test_acceleration_field_speed_is_the_embedded_speed(fleet):
+    rng = np.random.default_rng(40)
+    grid = SpatialGrid(a_km=0.0, b_km=3.0, n_cells=30)
+    state = MacroState2(rho=rng.uniform(0.0, 56.0, size=30),
+                        w=rng.uniform(DIAG.w_left, DIAG.w_right, size=30))
+    out = acceleration_field(state, grid, 0.01, DIAG, fleet, SHAPE)
+    expected = embedded_speed_2(grid.centers(), 0.01, state.rho, state.w, fleet,
+                                DIAG, SHAPE)
+    assert np.array_equal(out.speed_kmh, expected)
 
 
 def test_acceleration_requires_shape_with_fleet():

@@ -14,6 +14,7 @@ from trafnox.core import (
     SimulationError,
     SpatialGrid,
 )
+from trafnox import lwr
 from trafnox.lagrangian import Fleet, Trajectory
 from trafnox.lwr import (
     EmbeddingMode,
@@ -205,6 +206,43 @@ def test_numerical_flux_examples():
     assert jammed_to_empty == pytest.approx(fmax)
     free_into_jam = numerical_flux(2.0, 30.0, 2.1, 100.0, 0.0, None, DIAG, SHAPE, none)
     assert free_into_jam == 0.0
+
+
+def test_numerical_flux_is_the_steps_interface_flux(monkeypatch):
+    """numerical_flux forms sending and receiving as ctm_step does: one
+    embedding per side and the clamped density (cell 5 sits just below 0,
+    inside the clamp band), so every interior interface flux matches."""
+    grid = SpatialGrid(a_km=0.0, b_km=3.0, n_cells=12)
+    fleet = _fleet_at((1.05, 25.0), (2.3, 60.0))
+    rho = np.random.default_rng(13).uniform(5.0, 95.0, size=12)
+    rho[5] = -5e-11
+    step_fluxes = []
+    interface_fluxes = lwr._interface_fluxes
+
+    def kept_fluxes(*args):
+        step_fluxes.append(interface_fluxes(*args))
+        return step_fluxes[-1]
+
+    monkeypatch.setattr(lwr, "_interface_fluxes", kept_fluxes)
+    ctm_step(MacroState1(rho=rho), grid, 0.0, 0.5 * max_dt(fleet, DIAG, grid),
+             DIAG, fleet, SHAPE, CV)
+    centers = grid.centers()
+    pointwise = [numerical_flux(centers[j], rho[j], centers[j + 1], rho[j + 1],
+                                0.0, fleet, DIAG, SHAPE, CV) for j in range(11)]
+    assert pointwise == list(step_fluxes[0][1:-1])
+    assert pointwise[5] == 0.0
+
+    snapshots = []
+    snapshot = Fleet.snapshot
+
+    def counted_snapshot(self, t):
+        snapshots.append(t)
+        return snapshot(self, t)
+
+    monkeypatch.setattr(Fleet, "snapshot", counted_snapshot)
+    numerical_flux(centers[3], rho[3], centers[4], rho[4], 0.0, fleet, DIAG,
+                   SHAPE, CV)
+    assert len(snapshots) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from trafnox.core import (
     cgarz_speed,
     invert_speed_in_w,
 )
-from trafnox.gsom import boundary_capacities, max_dt_2
+from trafnox import gsom, network
+from trafnox.gsom import _advance, _cell_tables, boundary_capacities, max_dt_2
 from trafnox.gsom import step as gsom_step
 from trafnox.lagrangian import Fleet, Trajectory
 from trafnox.lwr import FluxSamplingConfig
@@ -380,9 +381,33 @@ def test_boundary_capacities_match_step_internals():
     state = MacroState2(rho=rng.uniform(0.0, 56.0, size=20),
                         w=rng.uniform(DIAG.w_left, DIAG.w_right, size=20))
     _, send = boundary_capacities(state, grid, 0.0, DIAG)
-    _, fluxes = gsom_step(state, grid, 0.0, 0.5 * max_dt_2(None, DIAG, grid),
-                          DIAG, right_flux=send, return_fluxes=True)
+    tables = _cell_tables(state, grid, 0.0, DIAG, None, None,
+                          FluxSamplingConfig())
+    _, fluxes = _advance(tables, grid, 0.5 * max_dt_2(None, DIAG, grid), DIAG,
+                         0.0, send, None)
     assert float(fluxes[-1]) == send
+
+
+def test_network_step_builds_each_road_table_once(monkeypatch):
+    """One network_step builds each road's cell tables once: the junction
+    phase and the road's advance read the same arrays."""
+    calls = []
+    build = gsom._cell_tables
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gsom, "_cell_tables", counted)
+    monkeypatch.setattr(network, "_cell_tables", counted)
+    net = dataclasses.replace(build_six_road_network(DIAG, dx_km=0.5),
+                              sensors={"1": _constant_sensor("1", 600.0, 70.0)})
+    fleet = Fleet((Trajectory.from_line("probe", 3.0, 40.0, 0.0, 1.0),))
+    shape = CutoffShape(ell=0.2, big_l=0.6)
+    dt = 0.5 * min(max_dt_2(fleet, road.diagram, road.grid) for road in net.roads)
+    network_step(net, 0.0, {"1": fleet}, dt, shape,
+                 FluxSamplingConfig(n_rho_samples=64))
+    assert len(calls) == len(net.roads) == 6
 
 
 def test_sensor_inflow_is_capped_by_the_embedded_first_cell():

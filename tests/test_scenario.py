@@ -262,6 +262,24 @@ def test_gsom_scenario_writes_second_order_fields(tmp_path):
     assert np.all(emission.rows > 0.0)
 
 
+def test_gsom_scenario_on_a_road_not_starting_at_zero(tmp_path):
+    """A single second-order road may start anywhere: shifted by 2 km, the
+    same scenario writes the same rows under an a_km=2 header."""
+    base = dict(model="gsom", diagram=CGARZ, n_cells=40, horizon_h=0.02,
+                left_flux_veh_h=600.0)
+    run_scenario(ScenarioConfig(initial=_riemann(40.0, 8.0, 5.0), **base),
+                 out_dir=tmp_path / "at0")
+    run_scenario(ScenarioConfig(initial=_riemann(40.0, 8.0, 7.0),
+                                road_a_km=2.0, road_b_km=12.0, **base),
+                 out_dir=tmp_path / "at2")
+    for name in ("rho.csv", "w.csv"):
+        header0, rows0 = (tmp_path / "at0" / name).read_bytes().split(b"\n", 1)
+        header2, rows2 = (tmp_path / "at2" / name).read_bytes().split(b"\n", 1)
+        assert rows2 == rows0
+        assert b"a_km=2" in header2.split() and b"a_km=0" in header0.split()
+        assert read_field_dump(tmp_path / "at2" / name).a_km == 2.0
+
+
 def test_kde_initial_profile_peaks_at_the_fleet(tmp_path):
     fleet = _linear_fleet([40.0] * 5, [4.8, 4.9, 5.0, 5.1, 5.2], 0.01,
                           n_samples=50)
