@@ -27,7 +27,6 @@ from .emissions import (
     emission_max_macro,
     emission_max_micro,
     from_solver_units,
-    total_emission,
 )
 from .gsom import (
     AccelerationField,
@@ -43,8 +42,6 @@ from .lagrangian import (
     FtlState,
     KdeConfig,
     Trajectory,
-    closest_vehicle,
-    coverage_count,
     generate_synthetic,
     interpolate,
     kde_density,
@@ -78,14 +75,9 @@ from .network import (
 from .lwr import (
     EmbeddingMode,
     FluxSamplingConfig,
-    critical_density,
     ctm_step,
-    embedded_flux,
     embedded_speed,
     max_dt,
-    numerical_flux,
-    receiving,
-    sending,
 )
 from .dataio import (
     QUANTITIES,

@@ -46,13 +46,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", required=out_required,
                        help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (overrides the config)")
-        p.add_argument("--record-every", type=int, default=None, dest="record_every",
-                       help="record every k-th step (overrides the config)")
         return p
 
-    add("simulate", "run a scenario config end to end")
+    add("simulate", "run a scenario config end to end").add_argument(
+        "--record-every", type=int, default=None, dest="record_every",
+        help="record every k-th step (overrides the config)")
     add("generate-trajectories", "write a synthetic fleet as a trajectory CSV")
     add("emissions", "compute emission dumps from recorded fields",
         out_required=True)
@@ -68,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> None:
     cfg = load_config(args.config)
-    manifest = run_scenario(cfg, out_dir=args.out, seed=args.seed,
+    manifest = run_scenario(cfg, out_dir=args.out,
                             record_every=args.record_every)
     content = manifest["content"]
     out = args.out if args.out is not None else cfg.out_dir

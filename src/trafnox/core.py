@@ -32,10 +32,11 @@ class SimulationError(RuntimeError):
 
 
 def _clamped(value: ArrayLike, lo: float, hi: float, what: str) -> np.ndarray:
-    """Clamp ``value`` into [lo, hi] within CLAMP_BAND, else raise ValueError."""
+    """Clamp ``value`` into [lo, hi] within CLAMP_BAND, else raise ValueError
+    (NaN included)."""
     band = CLAMP_BAND * max(abs(hi), 1.0)
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < lo - band) or np.any(arr > hi + band):
+    if not np.all((arr >= lo - band) & (arr <= hi + band)):
         bad_lo = float(np.min(arr))
         bad_hi = float(np.max(arr))
         raise ValueError(

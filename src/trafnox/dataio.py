@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Union
@@ -66,10 +67,13 @@ def _data_lines(path: Path):
 
 def _parse_float(token: str, path: Path, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(
             f"{path}:{lineno}: {what} is not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}:{lineno}: {what} must be finite, got {token!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def manifest_content_hash(manifest: Mapping) -> str:
     """Hash of the deterministic (content) half of a manifest.
 
     Runtime metadata (wall-clock and the like) lives outside `content`, so
-    two runs of the same config and seed hash identically.
+    two runs of the same config hash identically.
     """
     canonical = json.dumps(manifest["content"], sort_keys=True,
                            separators=(",", ":"))

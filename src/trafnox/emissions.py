@@ -156,11 +156,6 @@ def emission_exp_macro(rho: ArrayLike, v: ArrayLike, a: ArrayLike, dx_km: float,
     return np.asarray(rho, dtype=float) * dx_km * emission_exp_micro(v, a, m)
 
 
-def total_emission(field_rates: ArrayLike) -> float:
-    """Road total: the sum of the per-cell rates."""
-    return float(np.sum(np.asarray(field_rates, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # coefficient-table files
 # ---------------------------------------------------------------------------
@@ -202,12 +197,3 @@ def load_coefficients(path) -> EmissionCoefficients:
         e0_floor=values.get("e0", [0.0])[0],
     )
 
-
-def write_coefficients(path, coeffs: EmissionCoefficients) -> None:
-    """Write a coefficient table in the load_coefficients format."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# emission coefficient table (m/s, m/s^2, g/s units)\n")
-        handle.write(f"threshold {coeffs.regime_threshold!r}\n")
-        handle.write("high " + " ".join(repr(c) for c in coeffs.high_regime) + "\n")
-        handle.write("low " + " ".join(repr(c) for c in coeffs.low_regime) + "\n")
-        handle.write(f"e0 {coeffs.e0_floor!r}\n")

@@ -48,8 +48,9 @@ _CLOSEST = EmbeddingMode.CLOSEST_VEHICLE
 
 def embedded_speed_2(x: ArrayLike, t: float, rho: ArrayLike, w: ArrayLike,
                      fleet: Optional[Fleet], diag: CgarzDiagram,
-                     shape: Optional[CutoffShape]) -> ArrayLike:
-    """Speed field v(rho, w) blended with the closest tracked vehicle."""
+                     shape: Optional[CutoffShape]) -> np.ndarray:
+    """Speed field v(rho, w) blended with the closest tracked vehicle, at the
+    points x broadcast against the densities rho."""
     return _embedded_speed(x, t, rho, diag.rho_max,
                            lambda r: cgarz_speed(r, w, diag), fleet, shape, _CLOSEST)
 

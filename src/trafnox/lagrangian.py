@@ -1,5 +1,5 @@
-"""Vehicle trajectories: storage, interpolation, closest-vehicle queries,
-synthetic and follow-the-leader generation, and kernel-density fields.
+"""Vehicle trajectories: storage, interpolation, fleet snapshots, synthetic
+and follow-the-leader generation, and kernel-density fields.
 
 A trajectory is a piecewise-linear record of (time, position[, speed])
 samples.  Outside its sampled time span a vehicle is "not on the road" and
@@ -14,13 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    CutoffShape,
-    SimulationError,
-    SpatialGrid,
-    cutoff,
-)
+from .core import ConfigError, SimulationError, SpatialGrid
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -191,30 +185,6 @@ class Fleet:
         return Fleet(trajectories=self.trajectories[offset::step])
 
 
-def closest_vehicle(fleet: Fleet, x: float, t: float) -> Optional[int]:
-    """Index of the active vehicle minimizing |x - p_i(t)|; ties take the
-    lowest index; None when no vehicle is on the road at t."""
-    indices, positions, _, _ = fleet.snapshot(t)
-    if indices.size == 0:
-        return None
-    best = int(np.argmin(np.abs(positions - x)))
-    return int(indices[best])
-
-
-def coverage_count(fleet: Fleet, x: ArrayLike, t: float, shape: CutoffShape) -> ArrayLike:
-    """Number of active vehicles with chi(x - p_i(t)) > 0 at each query point."""
-    xq = np.asarray(x, dtype=float)
-    _, positions, _, _ = fleet.snapshot(t)
-    if positions.size == 0:
-        out = np.zeros(xq.shape, dtype=int)
-    else:
-        chi = cutoff(xq[..., None] - positions, shape)
-        out = np.asarray((np.asarray(chi) > 0).sum(axis=-1), dtype=int)
-    if np.ndim(x) == 0:
-        return int(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # synthetic trajectories (oscillating platoon)
 # ---------------------------------------------------------------------------
@@ -244,19 +214,6 @@ def synthetic_speed(idx: int, t: ArrayLike, n: int, c: float, horizon_h: float,
     k = synthetic_wavenumber(idx, n)
     tt = np.asarray(t, dtype=float)
     out = c * v_max * (np.sin(k * math.pi * tt / horizon_h) + 1.0)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def synthetic_acceleration(idx: int, t: ArrayLike, n: int, c: float, horizon_h: float,
-                           v_max: float, verbatim: bool = False) -> ArrayLike:
-    """dv_i/dt = c v_max (k pi/T) cos(k pi t/T); with verbatim=True the factor
-    is flipped to T/(k pi), reproducing a published variant that is not the
-    derivative of the speed (kept available for comparison runs)."""
-    k = synthetic_wavenumber(idx, n)
-    tt = np.asarray(t, dtype=float)
-    kp = k * math.pi
-    factor = (horizon_h / kp) if verbatim else (kp / horizon_h)
-    out = c * v_max * factor * np.cos(kp * tt / horizon_h)
     return float(out) if np.ndim(t) == 0 else out
 
 

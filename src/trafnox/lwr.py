@@ -137,7 +137,8 @@ def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
     (n_samples, 1) for a shared law, (n_samples, n_points) when the law
     varies per point.  An identically-zero flux column takes the first
     sample, sigma = 0, so sending and receiving both vanish (blockage at a
-    stopped vehicle).
+    stopped vehicle).  The flux being strictly concave, the sampled sigma
+    lies within one sample spacing of the true maximizer.
     """
     speed_table = np.broadcast_to(
         np.asarray(emb.blended(u_samples), dtype=float),
@@ -150,22 +151,21 @@ def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
     return sigma, flux_max
 
 
-def _cell_capacities(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
+def _cell_capacities(x: np.ndarray, t: float, rho: np.ndarray, rho_max: float,
                      speed: Callable[[np.ndarray], ArrayLike],
                      fleet: Optional[Fleet], shape: Optional[CutoffShape],
                      mode: EmbeddingMode, sampling: FluxSamplingConfig):
     """(clamped rho, (embedded speed, own flux, sending, receiving)) at the
-    points x, from one embedding.
+    points x, one density per point, from one embedding.
 
     speed gives the bulk speed of a density array; the sample densities
     reach it with a leading sample axis, so it may vary per point.  Sending
     is the own flux up to sigma and the flux cap above it, receiving the
-    reverse.  The step's interface fluxes, a network junction's boundary
-    capacities and the pointwise sending/receiving all read these arrays.
+    reverse.  The step's interface fluxes and a network junction's boundary
+    capacities both read these arrays.
     """
-    rho = _clamped(np.atleast_1d(np.asarray(rho, dtype=float)), 0.0, rho_max,
-                   "density")
-    emb = _pointwise(x, t, fleet, shape, mode)
+    rho = _clamped(np.asarray(rho, dtype=float), 0.0, rho_max, "density")
+    emb = _Embedding(x, t, fleet, shape, mode)
     rho_samples = sampling.samples(rho_max)
     sigma, flux_max = _critical_tables(emb, rho_samples,
                                        speed(rho_samples[:, None]))
@@ -196,94 +196,25 @@ def _interface_fluxes(flux_own: np.ndarray, send: np.ndarray, recv: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# public field queries
+# observed speed
 # ---------------------------------------------------------------------------
-
-def _pointwise(x: ArrayLike, t: float, fleet: Optional[Fleet],
-               shape: Optional[CutoffShape], mode: EmbeddingMode) -> _Embedding:
-    return _Embedding(np.atleast_1d(np.asarray(x, dtype=float)), t, fleet, shape, mode)
-
 
 def embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
                    law: SpeedLaw, shape: Optional[CutoffShape],
-                   mode: EmbeddingMode) -> ArrayLike:
-    """Speed field with tracked vehicles blended in at their cutoff supports."""
+                   mode: EmbeddingMode) -> np.ndarray:
+    """Speed field with tracked vehicles blended in at their cutoff supports,
+    at the points x broadcast against the densities rho."""
     return _embedded_speed(x, t, rho, law.rho_max, law.speed, fleet, shape, mode)
 
 
 def _embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
                     speed: Callable[[np.ndarray], ArrayLike], fleet: Optional[Fleet],
-                    shape: Optional[CutoffShape], mode: EmbeddingMode) -> ArrayLike:
+                    shape: Optional[CutoffShape], mode: EmbeddingMode) -> np.ndarray:
     """embedded_speed for any bulk speed function of the clamped density."""
-    rho_arr = _clamped(np.atleast_1d(np.asarray(rho, dtype=float)),
-                       0.0, rho_max, "density")
-    emb = _pointwise(x, t, fleet, shape, mode)
-    out = np.broadcast_to(emb.blended(speed(rho_arr)), (emb.n_points,)).copy()
-    return _query_result(out, x, rho)
-
-
-def _query_result(out: np.ndarray, x: ArrayLike, rho: ArrayLike) -> ArrayLike:
-    """A float for a scalar query point and density, else the array."""
-    if np.ndim(x) == 0 and np.ndim(rho) == 0:
-        return float(out[0])
-    return out
-
-
-def embedded_flux(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
-                  law: SpeedLaw, shape: Optional[CutoffShape],
-                  mode: EmbeddingMode) -> ArrayLike:
-    """rho times the embedded speed."""
-    speed = embedded_speed(x, t, rho, fleet, law, shape, mode)
-    out = np.asarray(rho, dtype=float) * speed
-    if np.ndim(x) == 0 and np.ndim(rho) == 0:
-        return float(out)
-    return out
-
-
-def critical_density(x: ArrayLike, t: float, fleet: Optional[Fleet], law: SpeedLaw,
-                     shape: Optional[CutoffShape], mode: EmbeddingMode,
-                     sampling: FluxSamplingConfig = FluxSamplingConfig(),
-                     ) -> tuple[ArrayLike, ArrayLike]:
-    """(sigma, flux_max): sampled argmax of the embedded flux in [0, rho_max].
-
-    By strict concavity of the flux the sampled maximizer lies within one
-    sample spacing of the true one.
-    """
-    emb = _pointwise(x, t, fleet, shape, mode)
-    rho_samples = sampling.samples(law.rho_max)
-    sigma, flux_max = _critical_tables(emb, rho_samples,
-                                       law.speed(rho_samples[:, None]))
-    if np.ndim(x) == 0:
-        return float(sigma[0]), float(flux_max[0])
-    return sigma, flux_max
-
-
-def sending(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
-            law: SpeedLaw, shape: Optional[CutoffShape], mode: EmbeddingMode,
-            sampling: FluxSamplingConfig = FluxSamplingConfig()) -> ArrayLike:
-    """Demand: the cell's own flux below sigma, the flux cap above."""
-    _, (_, _, send, _) = _cell_capacities(x, t, rho, law.rho_max, law.speed,
-                                          fleet, shape, mode, sampling)
-    return _query_result(send, x, rho)
-
-
-def receiving(x: ArrayLike, t: float, rho: ArrayLike, fleet: Optional[Fleet],
-              law: SpeedLaw, shape: Optional[CutoffShape], mode: EmbeddingMode,
-              sampling: FluxSamplingConfig = FluxSamplingConfig()) -> ArrayLike:
-    """Supply: the flux cap below sigma, the cell's own flux above."""
-    _, (_, _, _, recv) = _cell_capacities(x, t, rho, law.rho_max, law.speed,
-                                          fleet, shape, mode, sampling)
-    return _query_result(recv, x, rho)
-
-
-def numerical_flux(x_left: float, rho_left: float, x_right: float, rho_right: float,
-                   t: float, fleet: Optional[Fleet], law: SpeedLaw,
-                   shape: Optional[CutoffShape], mode: EmbeddingMode,
-                   sampling: FluxSamplingConfig = FluxSamplingConfig()) -> float:
-    """Godunov interface flux min{sending(left), receiving(right)}."""
-    s = sending(x_left, t, rho_left, fleet, law, shape, mode, sampling)
-    r = receiving(x_right, t, rho_right, fleet, law, shape, mode, sampling)
-    return float(min(s, r))
+    x, rho = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(rho))
+    rho = _clamped(rho, 0.0, rho_max, "density")
+    emb = _Embedding(x, t, fleet, shape, mode)
+    return np.broadcast_to(emb.blended(speed(rho)), x.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +257,3 @@ def ctm_step(state: MacroState1, grid: SpatialGrid, t: float, dt: float,
     fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
     return MacroState1(rho=rho - (dt / grid.dx_km) * np.diff(fluxes))
 
-
-def run_ctm(state: MacroState1, grid: SpatialGrid, dt: float, n_steps: int,
-            law: SpeedLaw, fleet: Optional[Fleet] = None,
-            shape: Optional[CutoffShape] = None,
-            mode: EmbeddingMode = EmbeddingMode.NONE,
-            sampling: FluxSamplingConfig = FluxSamplingConfig(),
-            left_flux: float = 0.0, right_flux: Optional[float] = None,
-            t0: float = 0.0, record_every: int = 0) -> tuple[MacroState1, list[np.ndarray]]:
-    """Advance n_steps from t0; optionally record every record_every-th field
-    (0 records nothing).  Returns the final state and the recorded fields."""
-    recorded: list[np.ndarray] = []
-    for n in range(n_steps):
-        state = ctm_step(state, grid, t0 + n * dt, dt, law, fleet, shape, mode,
-                         sampling, left_flux, right_flux)
-        if record_every and (n + 1) % record_every == 0:
-            recorded.append(state.rho.copy())
-    return state, recorded

@@ -223,7 +223,6 @@ class ScenarioConfig:
     diffusion: Optional[DiffusionConfig] = None
     network: NetworkConfig = field(default_factory=NetworkConfig)
     out_dir: str = "out"
-    seed: int = 0
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -617,70 +616,71 @@ def _run_lwr(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     bound = max_dt(embed_fleet, law, grid)
     dt = cfg.dt_h if cfg.dt_h is not None else cfg.cfl_safety * bound
     timing = TimeGrid.from_horizon(horizon_h=cfg.horizon_h, dt_h=dt)
-    state = _initial_state_1(cfg, grid, law, data_fleet)
-
+    rid = cfg.road_id
     centers = grid.centers()
-    rows_rho, rows_speed = [], []
-    for n in range(timing.n_steps):
-        state = ctm_step(state, grid, n * dt, dt, law, embed_fleet, shape,
-                         mode, sampling, cfg.left_flux_veh_h, None)
-        if (n + 1) % cfg.record_every == 0:
-            t_next = (n + 1) * dt
-            rows_rho.append(state.rho)
-            rows_speed.append(np.asarray(embedded_speed(
-                centers, t_next, state.rho, embed_fleet, law, shape, mode)))
 
-    dt_rows = cfg.record_every * dt
-    dumps = {
-        "rho": _road_dump("rho", grid, dt_rows, rows_rho),
-        "speed": _road_dump("speed", grid, dt_rows, rows_speed),
-    }
+    def advance(t, states):
+        return {rid: ctm_step(states[rid], grid, t, dt, law, embed_fleet, shape,
+                              mode, sampling, cfg.left_flux_veh_h, None)}
+
+    def observe(_, state, t):
+        return {"rho": state.rho,
+                "speed": embedded_speed(centers, t, state.rho, embed_fleet, law,
+                                        shape, mode)}
+
+    dumps = _record_roads(
+        cfg, {rid: grid}, {rid: _initial_state_1(cfg, grid, law, data_fleet)},
+        advance, observe, 0.0, dt, timing.n_steps, suffixed=False)
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps}
     return dumps, meta
 
 
-def _road_dump(quantity: str, grid: SpatialGrid, dt_rows_h: float,
-               rows: list) -> FieldDump:
-    return FieldDump(quantity=quantity, a_km=grid.a_km, b_km=grid.b_km,
-                     dx_km=grid.dx_km, dt_h=dt_rows_h, rows=np.array(rows))
+def _second_order_observer(cfg: ScenarioConfig, diag: CgarzDiagram,
+                           grids: Mapping[str, SpatialGrid],
+                           fleets: Mapping[str, Optional[Fleet]],
+                           shape: CutoffShape):
+    """observe(rid, state, t) of second-order roads: rho, w, speed, accel
+    and, with an emission formula, emission."""
+    emission_row = _emission_evaluator(cfg)
+
+    def observe(rid, state: MacroState2, t: float) -> dict[str, np.ndarray]:
+        grid = grids[rid]
+        observed = acceleration_field(state, grid, t, diag, fleets.get(rid),
+                                      shape)
+        speed, accel = observed.speed_kmh, observed.a_kmh2
+        fields = {"rho": state.rho, "w": state.w, "speed": speed,
+                  "accel": accel}
+        if emission_row is not None:
+            fields["emission"] = emission_row(state.rho, speed, accel,
+                                              grid.dx_km)
+        return fields
+    return observe
 
 
-def _observe_road(state: MacroState2, grid: SpatialGrid, t: float,
-                  diag: CgarzDiagram, fleet: Optional[Fleet],
-                  shape: CutoffShape, emission_row) -> dict[str, np.ndarray]:
-    """A second-order road's recorded fields at t: rho, w, speed, accel and,
-    with an emission formula, emission."""
-    observed = acceleration_field(state, grid, t, diag, fleet, shape)
-    speed, accel = observed.speed_kmh, observed.a_kmh2
-    fields = {"rho": state.rho, "w": state.w, "speed": speed, "accel": accel}
-    if emission_row is not None:
-        fields["emission"] = emission_row(state.rho, speed, accel, grid.dx_km)
-    return fields
-
-
-def _record_roads(cfg: ScenarioConfig, diag: CgarzDiagram,
-                  grids: Mapping[str, SpatialGrid],
-                  states: Mapping[str, MacroState2], advance,
-                  fleets: Mapping[str, Optional[Fleet]], shape: CutoffShape,
+def _record_roads(cfg: ScenarioConfig, grids: Mapping[str, SpatialGrid],
+                  states: Mapping[str, Any], advance, observe,
                   t0: float, dt: float, n_steps: int,
                   suffixed: bool) -> dict[str, FieldDump]:
-    """The second-order step -> observe -> disperse -> record loop.
+    """The step -> observe -> disperse -> record loop of every model.
 
     ``advance(t, states)`` returns every road's state one step of dt after
-    t.  Each step feeds the roads' emissions to the dispersion run, and
-    every record_every-th step appends the observed fields; dump keys are
-    ``<quantity>.<road>`` when ``suffixed``, else ``<quantity>``.
+    t, and ``observe(rid, state, t)`` a road's recorded fields at t as
+    ``{quantity: row}``.  Each step feeds the roads' emissions to the
+    dispersion run, and every record_every-th step appends the observed
+    fields; dump keys are ``<quantity>.<road>`` when ``suffixed``, else
+    ``<quantity>``.
     """
-    emission_row = _emission_evaluator(cfg)
+    if cfg.record_every > n_steps:
+        raise ConfigError(
+            f"record_every {cfg.record_every} exceeds the {n_steps} steps of "
+            f"the horizon, so nothing would be recorded"
+        )
     dispersion = None
     if cfg.diffusion is not None:
         dispersion = _DispersionRun(
             cfg.diffusion,
             {rid: (grid.dx_km, grid.n_cells) for rid, grid in grids.items()})
-    quantities = ["rho", "w", "speed", "accel"]
-    if emission_row is not None:
-        quantities.append("emission")
-    rows = {rid: {q: [] for q in quantities} for rid in grids}
+    rows: dict[str, dict[str, list]] = {rid: {} for rid in grids}
     for n in range(n_steps):
         states = advance(t0 + n * dt, states)
         t_next = t0 + (n + 1) * dt
@@ -688,23 +688,25 @@ def _record_roads(cfg: ScenarioConfig, diag: CgarzDiagram,
         if not recording and dispersion is None:
             continue
         emissions: dict[str, np.ndarray] = {}
-        for rid, grid in grids.items():
-            fields = _observe_road(states[rid], grid, t_next, diag,
-                                   fleets.get(rid), shape, emission_row)
+        for rid in grids:
+            fields = observe(rid, states[rid], t_next)
             emissions[rid] = fields.get("emission")
             if recording:
                 for name, row in fields.items():
-                    rows[rid][name].append(row)
+                    rows[rid].setdefault(name, []).append(row)
         if dispersion is not None:
             dispersion.step(emissions, dt)
             if recording:
                 dispersion.record()
 
     dt_rows = cfg.record_every * dt
-    dumps = {f"{q}.{rid}" if suffixed else q:
-             _road_dump(q, grids[rid], dt_rows, data)
-             for rid, by_quantity in rows.items()
-             for q, data in by_quantity.items()}
+    dumps = {}
+    for rid, by_quantity in rows.items():
+        grid = grids[rid]
+        for q, data in by_quantity.items():
+            dumps[f"{q}.{rid}" if suffixed else q] = FieldDump(
+                quantity=q, a_km=grid.a_km, b_km=grid.b_km, dx_km=grid.dx_km,
+                dt_h=dt_rows, rows=np.array(data))
     if dispersion is not None:
         dumps["psi"] = dispersion.dump(dt_rows)
     return dumps
@@ -728,10 +730,12 @@ def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
         return {rid: gsom_step(states[rid], grid, t, dt, diag, embed_fleet,
                                shape, sampling, cfg.left_flux_veh_h, None)}
 
+    grids = {rid: grid}
     dumps = _record_roads(
-        cfg, diag, {rid: grid},
-        {rid: _initial_state_2(cfg, grid, diag, data_fleet)}, advance,
-        {rid: embed_fleet}, shape, 0.0, dt, timing.n_steps, suffixed=False)
+        cfg, grids, {rid: _initial_state_2(cfg, grid, diag, data_fleet)},
+        advance,
+        _second_order_observer(cfg, diag, grids, {rid: embed_fleet}, shape),
+        0.0, dt, timing.n_steps, suffixed=False)
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps}
     return dumps, meta
 
@@ -761,11 +765,11 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
                                shape, sampling)
         return {road.road_id: road.state for road in stepped.roads}
 
+    grids = {road.road_id: road.grid for road in net.roads}
     dumps = _record_roads(
-        cfg, diag, {road.road_id: road.grid for road in net.roads},
-        {road.road_id: road.state for road in net.roads}, advance,
-        embed_fleets, shape, ncfg.warm_start_h, dt, timing.n_steps,
-        suffixed=True)
+        cfg, grids, {road.road_id: road.state for road in net.roads}, advance,
+        _second_order_observer(cfg, diag, grids, embed_fleets, shape),
+        ncfg.warm_start_h, dt, timing.n_steps, suffixed=True)
     meta = {"dt_h": dt, "cfl_bound_h": bound, "n_steps": timing.n_steps,
             "warm_start_h": ncfg.warm_start_h}
     return dumps, meta
@@ -773,19 +777,16 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
 
 def run_scenario(config: ScenarioConfig,
                  out_dir: Optional[PathLike] = None,
-                 seed: Optional[int] = None,
                  record_every: Optional[int] = None) -> dict:
     """Execute a scenario and write its dumps and manifest.
 
     Returns the manifest as a dict ({"content": ..., "runtime": ...}); the
-    content section is deterministic for a given config and seed, the runtime
-    section carries wall-clock timing.
+    content section is deterministic for a given config, the runtime section
+    carries wall-clock timing.
     """
     overrides = {}
     if out_dir is not None:
         overrides["out_dir"] = str(out_dir)
-    if seed is not None:
-        overrides["seed"] = int(seed)
     if record_every is not None:
         overrides["record_every"] = int(record_every)
     cfg = dataclasses.replace(config, **overrides) if overrides else config
@@ -807,8 +808,8 @@ def run_scenario(config: ScenarioConfig,
                    "rows": int(dumps[key].rows.shape[0])}
              for key, path in sorted(paths.items())}
     content = {"config_hash": config_hash(cfg), "model": cfg.model,
-               "embedding": cfg.embedding, "seed": cfg.seed,
-               "record_every": cfg.record_every, **meta, "files": files}
+               "embedding": cfg.embedding, "record_every": cfg.record_every,
+               **meta, "files": files}
     runtime = {"wall_clock_s": time.perf_counter() - started}
     write_manifest(out, content, runtime)
     return {"content": content, "runtime": runtime}

@@ -38,7 +38,6 @@ from trafnox import (
     acceleration_field,
     build_six_road_network,
     cgarz_speed,
-    critical_density,
     ctm_step,
     diffusion_step,
     diverge_fluxes,
@@ -60,6 +59,7 @@ from trafnox import (
     stable_dt,
     warm_start,
 )
+from trafnox.lwr import _critical_tables, _Embedding
 
 # Shared single-road setting: Greenshields law on a 3 km road, 100 m cells,
 # with the cutoff plateau/support used throughout the single-road tests.
@@ -73,6 +73,12 @@ ACV = EmbeddingMode.AVERAGE_CLOSEST_VEHICLES
 def _linear_vehicle(vid: str, x0: float, speed: float, t_end: float) -> Trajectory:
     return Trajectory(vid, np.array([0.0, t_end]),
                       np.array([x0, x0 + speed * t_end]))
+
+
+def _sampled_sigma(emb: _Embedding, law, sampling: FluxSamplingConfig) -> float:
+    """The sampled critical density at the embedding's one point."""
+    samples = sampling.samples(law.rho_max)
+    return float(_critical_tables(emb, samples, law.speed(samples[:, None]))[0][0])
 
 
 def _flux(rho: np.ndarray | float) -> np.ndarray | float:
@@ -258,8 +264,9 @@ def test_sampled_critical_density_matches_finer_search():
         offset = rng.uniform(-shape.big_l, shape.big_l)
         start = x_eval - offset - p_speed * t_eval
         fleet = Fleet((_linear_vehicle("v0", start, p_speed, 1.0),))
-        sigma_c, _ = critical_density(x_eval, t_eval, fleet, law, shape, CV, coarse)
-        sigma_f, _ = critical_density(x_eval, t_eval, fleet, law, shape, CV, fine)
+        emb = _Embedding(np.array([x_eval]), t_eval, fleet, shape, CV)
+        sigma_c = _sampled_sigma(emb, law, coarse)
+        sigma_f = _sampled_sigma(emb, law, fine)
         assert abs(sigma_c - sigma_f) <= law.rho_max / (n_coarse - 1) + 1e-12
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from trafnox import read_field_dump, write_sensors
+from trafnox import Fleet, Trajectory, read_field_dump, scenario, write_sensors
 from trafnox.cli import main
 from trafnox.network import SensorSeries
 
@@ -95,6 +95,26 @@ def test_cfl_violation_exits_3(tmp_path, capsys):
     config = _gsom_config(tmp_path, dt_h=0.5, horizon_h=1.0)
     assert main(["simulate", "--config", config]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_density_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN position that got past the loader turns the embedded flux, and
+    # so the density, into NaN; the next step refuses that state
+    broken = Fleet((Trajectory("v0", times_h=np.array([0.0, 1.0]),
+                               positions_km=np.array([np.nan, 3.0]),
+                               speeds_kmh=np.array([30.0, 30.0])),))
+    monkeypatch.setattr(scenario, "load_trajectories", lambda path: {"0": broken})
+    trajectories = tmp_path / "t.csv"
+    trajectories.write_text("v0,0,0,1.0,30\nv0,0,3600,3.0,30\n")
+    config = _write_yaml(tmp_path / "s.yaml", {
+        "embedding": "cv", "trajectories_path": str(trajectories),
+        "n_cells": 20, "horizon_h": 0.02,
+        "initial": {"kind": "constant", "rho": 30.0},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["simulate", "--config", config]) == 3
+    assert "density outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_yaml_exits_2(tmp_path, capsys):
@@ -277,6 +297,17 @@ def test_validate_checks_referenced_files(tmp_path, capsys):
     })
     assert main(["validate", "--config", config]) == 2
     assert "gaps at minutes" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_non_finite_trajectory_value(tmp_path, capsys):
+    trajectories = tmp_path / "t.csv"
+    trajectories.write_text("v0,0,0,1.0,30\nv0,0,3600,nan,30\n")
+    config = _write_yaml(tmp_path / "s.yaml", {
+        "embedding": "cv", "trajectories_path": str(trajectories),
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["validate", "--config", config]) == 2
+    assert f"{trajectories}:2: x_km must be finite" in capsys.readouterr().err
 
 
 def test_validate_network_scenario_with_sensors(tmp_path, capsys):

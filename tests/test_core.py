@@ -81,6 +81,8 @@ def test_greenshields_domain_error():
         greenshields_speed(-1.0, GREENSHIELDS)
     with pytest.raises(ValueError):
         greenshields_speed(101.0, GREENSHIELDS)
+    with pytest.raises(ValueError):
+        greenshields_speed(np.array([10.0, np.nan]), GREENSHIELDS)
     # floating-point dust inside the clamp band is absorbed, not rejected
     assert greenshields_speed(100.0 + 1e-13, GREENSHIELDS) == 0.0
 

@@ -81,6 +81,8 @@ def test_roads_split_into_separate_fleets(tmp_path):
     ("a,1,zero,0.5,50", 1),           # non-numeric time
     ("a,1,0,0.5,-5", 1),              # negative speed
     ("a,1,0,0.5,50,9", 1),            # too many fields
+    ("a,1,0,nan,50", 1),              # non-finite position
+    ("a,1,inf,0.5,50", 1),            # non-finite time
 ])
 def test_malformed_trajectory_rows_name_the_line(tmp_path, row, lineno):
     path = tmp_path / "t.csv"
@@ -186,7 +188,8 @@ def test_gap_lists_missing_minutes(tmp_path):
         load_sensors(path)
 
 
-@pytest.mark.parametrize("row", ["1,0,800", "1,0.5,800,90", "1,zero,800,90"])
+@pytest.mark.parametrize("row", ["1,0,800", "1,0.5,800,90", "1,zero,800,90",
+                                 "1,0,nan,90", "1,0,800,-inf"])
 def test_malformed_sensor_rows_rejected(tmp_path, row):
     path = tmp_path / "s.csv"
     path.write_text(row + "\n")

@@ -21,8 +21,6 @@ from trafnox.emissions import (
     emission_max_micro,
     from_solver_units,
     load_coefficients,
-    total_emission,
-    write_coefficients,
 )
 
 
@@ -126,11 +124,6 @@ def test_macro_is_vehicle_count_times_micro(rho, v, a, dx):
     assert np.allclose(macro_e, rho * dx * micro_e, rtol=1e-14)
 
 
-def test_total_emission_sums_rates():
-    assert total_emission(np.array([1.0, 2.5, 0.5])) == pytest.approx(4.0)
-    assert total_emission(np.zeros(5)) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # unit boundary
 # ---------------------------------------------------------------------------
@@ -178,7 +171,11 @@ def test_coefficient_file_round_trip(tmp_path):
         e0_floor=2e-5,
     )
     path = tmp_path / "coeffs.txt"
-    write_coefficients(path, coeffs)
+    path.write_text(
+        f"threshold {coeffs.regime_threshold!r}\n"
+        "high " + " ".join(repr(c) for c in coeffs.high_regime) + "\n"
+        "low " + " ".join(repr(c) for c in coeffs.low_regime) + "\n"
+        f"e0 {coeffs.e0_floor!r}\n")
     got = load_coefficients(path)
     assert got == coeffs
 

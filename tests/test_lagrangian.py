@@ -1,4 +1,8 @@
-"""Trajectory interpolation, vehicle queries, synthetic/FTL generation, KDE."""
+"""Trajectory interpolation, vehicle queries, synthetic/FTL generation, KDE.
+
+The closest-vehicle and coverage queries are read from lwr._Embedding, the
+one place the solvers form them.
+"""
 
 import math
 
@@ -14,8 +18,6 @@ from trafnox.lagrangian import (
     FtlState,
     KdeConfig,
     Trajectory,
-    closest_vehicle,
-    coverage_count,
     generate_synthetic,
     interpolate,
     kde_density,
@@ -23,10 +25,10 @@ from trafnox.lagrangian import (
     optimal_velocity,
     run_ftl,
     step_ftl,
-    synthetic_acceleration,
     synthetic_position,
     synthetic_speed,
 )
+from trafnox.lwr import EmbeddingMode, _Embedding
 
 SHAPE = CutoffShape(ell=0.2, big_l=0.6)
 
@@ -36,6 +38,31 @@ def _line_fleet(*positions_and_speeds):
         Trajectory.from_line(f"v{i}", x0, v)
         for i, (x0, v) in enumerate(positions_and_speeds)
     ))
+
+
+def _parked(vehicle_id, x_km, tag, t1_h=1.0):
+    """A vehicle parked at x_km on [0, t1_h] whose recorded speed is tag."""
+    return Trajectory(vehicle_id, times_h=np.array([0.0, t1_h]),
+                      positions_km=np.array([x_km, x_km]),
+                      speeds_kmh=np.array([float(tag), float(tag)]))
+
+
+def _tagged_fleet(*positions):
+    """Parked vehicles whose recorded speed is their index."""
+    return Fleet(tuple(_parked(f"v{i}", x, i) for i, x in enumerate(positions)))
+
+
+def _closest(fleet, x, t=0.5):
+    """Index (the tagged speed) of the closest active vehicle, or None."""
+    emb = _Embedding(np.array([x]), t, fleet, SHAPE, EmbeddingMode.CLOSEST_VEHICLE)
+    return int(emb.pdot_k[0]) if emb.n_active else None
+
+
+def _coverage(fleet, x, t=0.5):
+    """Active vehicles whose cutoff covers the point x."""
+    emb = _Embedding(np.array([x]), t, fleet, SHAPE,
+                     EmbeddingMode.AVERAGE_CLOSEST_VEHICLES)
+    return int(np.count_nonzero(emb.chi[0] > 0.0)) if emb.n_active else 0
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +128,17 @@ def test_slope_acceleration_across_segment_midpoints():
 # ---------------------------------------------------------------------------
 
 def test_closest_vehicle_cases():
-    assert closest_vehicle(Fleet.empty(), 1.0, 0.5) is None
-    fleet = _line_fleet((2.0, 0.0))
-    assert closest_vehicle(fleet, 3.0, 0.5) == 0
-    fleet = _line_fleet((1.0, 0.0), (5.0, 0.0))
-    assert closest_vehicle(fleet, 2.9, 0.5) == 0
-    fleet = _line_fleet((1.0, 0.0), (3.0, 0.0))
-    assert closest_vehicle(fleet, 2.0, 0.5) == 0  # tie -> lowest index
+    assert _closest(Fleet.empty(), 1.0) is None
+    assert _closest(_tagged_fleet(2.0), 3.0) == 0
+    assert _closest(_tagged_fleet(1.0, 5.0), 2.9) == 0
+    assert _closest(_tagged_fleet(5.0, 1.0), 2.9) == 1
+    assert _closest(_tagged_fleet(1.0, 3.0), 2.0) == 0  # tie -> lowest index
 
 
 def test_closest_vehicle_ignores_off_road():
-    early = Trajectory.from_line("early", 1.0, 0.0, t0_h=0.0, t1_h=0.1)
-    late = Trajectory.from_line("late", 5.0, 0.0, t0_h=0.0, t1_h=1.0)
-    fleet = Fleet((early, late))
-    assert closest_vehicle(fleet, 1.0, 0.5) == 1
+    early = _parked("early", 1.0, 0, t1_h=0.1)
+    late = _parked("late", 5.0, 1)
+    assert _closest(Fleet((early, late)), 1.0) == 1
 
 
 @settings(max_examples=50)
@@ -123,18 +147,17 @@ def test_closest_vehicle_matches_linear_scan(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
     positions = [data.draw(st.floats(0.0, 10.0)) for _ in range(n)]
     x = data.draw(st.floats(-1.0, 11.0))
-    fleet = _line_fleet(*((p, 0.0) for p in positions))
     expected = min(range(n), key=lambda i: (abs(x - positions[i]), i))
-    assert closest_vehicle(fleet, x, 0.5) == expected
+    assert _closest(_tagged_fleet(*positions), x) == expected
 
 
 def test_coverage_count_cases():
-    assert coverage_count(Fleet.empty(), 1.0, 0.5, SHAPE) == 0
+    assert _coverage(Fleet.empty(), 1.0) == 0
     fleet = _line_fleet((1.0, 0.0))
-    assert coverage_count(fleet, 1.5, 0.5, SHAPE) == 1
-    assert coverage_count(fleet, 1.7, 0.5, SHAPE) == 0  # |x-p| >= L
+    assert _coverage(fleet, 1.5) == 1
+    assert _coverage(fleet, 1.7) == 0  # |x-p| >= L
     clustered = _line_fleet((1.0, 0.0), (1.001, 0.0), (1.002, 0.0))
-    assert coverage_count(clustered, 1.0, 0.5, SHAPE) == 3
+    assert _coverage(clustered, 1.0) == 3
 
 
 def test_coverage_iff_closest_within_support():
@@ -144,8 +167,11 @@ def test_coverage_iff_closest_within_support():
         x = float(rng.uniform(-1, 6))
         _, positions, _, _ = fleet.snapshot(0.5)
         nearest_dist = np.min(np.abs(positions - x))
-        covered = coverage_count(fleet, x, 0.5, SHAPE) >= 1
+        covered = _coverage(fleet, x) >= 1
         assert covered == (nearest_dist < SHAPE.big_l)
+        closest = _Embedding(np.array([x]), 0.5, fleet, SHAPE,
+                             EmbeddingMode.CLOSEST_VEHICLE)
+        assert covered == (closest.chi_k[0] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +204,6 @@ def test_synthetic_position_speed_consistency():
         x_minus = synthetic_position(idx, t - dt, n, c, horizon, v_max)
         v = synthetic_speed(idx, t, n, c, horizon, v_max)
         assert np.allclose((x_plus - x_minus) / (2 * dt), v, rtol=1e-5, atol=1e-5)
-
-
-def test_synthetic_acceleration_is_speed_derivative():
-    n, c, horizon, v_max = 11, 0.3, 1.0 / 3.0, 90.0
-    dt = 1e-7
-    for idx, t in ((0, 0.093), (5, 0.177), (10, 0.291)):
-        fd = (synthetic_speed(idx, t + dt, n, c, horizon, v_max)
-              - synthetic_speed(idx, t - dt, n, c, horizon, v_max)) / (2 * dt)
-        a = synthetic_acceleration(idx, t, n, c, horizon, v_max)
-        assert a == pytest.approx(fd, rel=1e-4, abs=1e-3)
-        # the verbatim variant flips the prefactor (T/(k pi) instead of k pi/T)
-        k = 20.0 + 5.0 * idx / (n - 1)
-        verbatim = synthetic_acceleration(idx, t, n, c, horizon, v_max, verbatim=True)
-        assert verbatim == pytest.approx(a * (horizon / (k * math.pi)) ** 2, rel=1e-12)
 
 
 def test_generate_synthetic_fleet():

@@ -1,4 +1,9 @@
-"""First-order solver: embedded speed/flux, critical-density search, CTM."""
+"""First-order solver: embedded speed/flux, critical-density search, CTM.
+
+Fluxes, critical densities and sending/receiving are read from the arrays
+the step itself forms (lwr._cell_capacities and lwr._critical_tables), so a
+query with one density per point is a road of those points.
+"""
 
 import warnings
 
@@ -19,22 +24,17 @@ from trafnox.lagrangian import Fleet, Trajectory
 from trafnox.lwr import (
     EmbeddingMode,
     FluxSamplingConfig,
-    critical_density,
     ctm_step,
-    embedded_flux,
     embedded_speed,
     harmonic_blend,
     max_dt,
-    numerical_flux,
-    receiving,
-    run_ctm,
-    sending,
 )
 
 DIAG = GreenshieldsDiagram(rho_max=100.0, u_max=90.0)
 SHAPE = CutoffShape(ell=0.2, big_l=0.6)
 CV = EmbeddingMode.CLOSEST_VEHICLE
 ACV = EmbeddingMode.AVERAGE_CLOSEST_VEHICLES
+NONE = EmbeddingMode.NONE
 
 
 def _fleet_at(*positions_and_speeds):
@@ -42,6 +42,39 @@ def _fleet_at(*positions_and_speeds):
         Trajectory.from_line(f"v{i}", x0, v)
         for i, (x0, v) in enumerate(positions_and_speeds)
     ))
+
+
+def _capacities(x, rho, fleet, mode, sampling=FluxSamplingConfig()):
+    """(embedded speed, own flux, sending, receiving) at points x (a scalar
+    is repeated) with one density per point, as ctm_step forms them."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    x = np.broadcast_to(np.asarray(x, dtype=float), rho.shape)
+    _, capacities = lwr._cell_capacities(x, 0.0, rho, DIAG.rho_max, DIAG.speed,
+                                         fleet, SHAPE, mode, sampling)
+    return capacities
+
+
+def _critical(x, fleet, mode, sampling=FluxSamplingConfig()):
+    """(sigma, flux_max) of the embedded flux at the point x and t = 0."""
+    emb = lwr._Embedding(np.array([x]), 0.0, fleet, SHAPE, mode)
+    samples = sampling.samples(DIAG.rho_max)
+    sigma, flux_max = lwr._critical_tables(emb, samples, DIAG.speed(samples[:, None]))
+    return float(sigma[0]), float(flux_max[0])
+
+
+def _godunov(x_left, rho_left, x_right, rho_right, fleet, mode):
+    """Interface flux min{sending(left), receiving(right)} of two cells."""
+    _, _, send, _ = _capacities(x_left, rho_left, fleet, mode)
+    _, _, _, recv = _capacities(x_right, rho_right, fleet, mode)
+    return float(min(send[0], recv[0]))
+
+
+def _run(state, grid, dt, n_steps, fleet=None, mode=NONE, left_flux=0.0):
+    """n_steps of ctm_step from t = 0."""
+    for n in range(n_steps):
+        state = ctm_step(state, grid, n * dt, dt, DIAG, fleet, SHAPE, mode,
+                         left_flux=left_flux)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +139,25 @@ def test_acv_averages_covering_vehicles():
     assert got_cv == pytest.approx(blend_1)
 
 
+def test_embedded_speed_broadcasts_a_point_against_densities():
+    # one query point, two densities: the two per-density speeds
+    fleet = _fleet_at((2.0, 30.0))
+    got = embedded_speed(2.0, 0.0, np.array([10.0, 20.0]), fleet, DIAG, SHAPE, CV)
+    assert got.shape == (2,)
+    expected = harmonic_blend(30.0, DIAG.speed(np.array([10.0, 20.0])))
+    assert np.allclose(got, expected, rtol=1e-14)
+    for r, value in zip((10.0, 20.0), got):
+        assert embedded_speed(2.0, 0.0, r, fleet, DIAG, SHAPE, CV)[0] == value
+
+
 def test_embedded_flux_examples():
     fleet = _fleet_at((10.0, 30.0))
-    assert embedded_flux(2.0, 0.0, 0.0, fleet, DIAG, SHAPE, CV) == 0.0
-    assert embedded_flux(2.0, 0.0, 100.0, fleet, DIAG, SHAPE, CV) == 0.0
-    assert embedded_flux(2.0, 0.0, 50.0, fleet, DIAG, SHAPE, CV) == pytest.approx(2250.0)
+    _, flux, _, _ = _capacities(2.0, [0.0, 100.0, 50.0, -5e-11], fleet, CV)
+    assert flux[0] == 0.0
+    assert flux[1] == 0.0
+    assert flux[2] == pytest.approx(2250.0)
+    # a density just below 0, inside the clamp band, flows as 0
+    assert flux[3] == 0.0
 
 
 def test_blended_flux_concavity_logged():
@@ -124,9 +171,7 @@ def test_blended_flux_concavity_logged():
         p_dot = float(rng.uniform(0.0, 120.0))
         offset = float(rng.uniform(-0.7, 0.7))
         fleet = _fleet_at((2.0 + offset, p_dot))
-        flux = np.array([
-            embedded_flux(2.0, 0.0, float(r), fleet, DIAG, SHAPE, CV) for r in rho
-        ])
+        _, flux, _, _ = _capacities(2.0, rho, fleet, CV)
         second = np.diff(flux, 2)
         worst = max(worst, float(second.max()))
     if worst > 1e-9:
@@ -139,8 +184,7 @@ def test_blended_flux_concavity_logged():
 # ---------------------------------------------------------------------------
 
 def test_critical_density_no_vehicle_matches_vertex():
-    sigma, flux_max = critical_density(2.0, 0.0, None, DIAG, SHAPE,
-                                       EmbeddingMode.NONE)
+    sigma, flux_max = _critical(2.0, None, NONE)
     spacing = 100.0 / 255.0
     assert abs(sigma - 50.0) <= spacing
     assert flux_max == pytest.approx(2250.0, abs=2250.0 * 1e-4)
@@ -148,19 +192,18 @@ def test_critical_density_no_vehicle_matches_vertex():
 
 def test_critical_density_stopped_vehicle_blockage():
     fleet = _fleet_at((2.0, 0.0))
-    sigma, flux_max = critical_density(2.0, 0.0, fleet, DIAG, SHAPE, CV)
+    sigma, flux_max = _critical(2.0, fleet, CV)
     assert sigma == 0.0  # first sample by convention
     assert flux_max == 0.0
     # sending and receiving then both vanish: total blockage
-    assert sending(2.0, 0.0, 70.0, fleet, DIAG, SHAPE, CV) == 0.0
-    assert receiving(2.0, 0.0, 70.0, fleet, DIAG, SHAPE, CV) == 0.0
+    _, _, send, recv = _capacities(2.0, 70.0, fleet, CV)
+    assert send[0] == 0.0
+    assert recv[0] == 0.0
 
 
 def test_critical_density_increases_for_slower_vehicle():
-    slow = _fleet_at((2.0, 5.0))
-    fast = _fleet_at((2.0, 90.0))
-    sigma_slow, _ = critical_density(2.0, 0.0, slow, DIAG, SHAPE, CV)
-    sigma_fast, _ = critical_density(2.0, 0.0, fast, DIAG, SHAPE, CV)
+    sigma_slow, _ = _critical(2.0, _fleet_at((2.0, 5.0)), CV)
+    sigma_fast, _ = _critical(2.0, _fleet_at((2.0, 90.0)), CV)
     assert sigma_slow > sigma_fast
 
 
@@ -172,46 +215,44 @@ def test_critical_density_matches_finer_sampling():
     tol = 100.0 / 63.0 + 100.0 / 630.0
     for _ in range(20):
         fleet = _fleet_at((float(rng.uniform(1.5, 2.5)), float(rng.uniform(0, 100))))
-        s_coarse, _ = critical_density(2.0, 0.0, fleet, DIAG, SHAPE, CV, coarse)
-        s_fine, _ = critical_density(2.0, 0.0, fleet, DIAG, SHAPE, CV, fine)
+        s_coarse, _ = _critical(2.0, fleet, CV, coarse)
+        s_fine, _ = _critical(2.0, fleet, CV, fine)
         assert abs(s_coarse - s_fine) <= tol
 
 
 def test_sending_receiving_branch_structure():
-    args = (2.0, 0.0, None, DIAG, SHAPE, EmbeddingMode.NONE)
-    sigma, flux_max = critical_density(*args)
-    assert sending(2.0, 0.0, 0.0, None, DIAG, SHAPE, EmbeddingMode.NONE) == 0.0
-    assert receiving(2.0, 0.0, 0.0, None, DIAG, SHAPE, EmbeddingMode.NONE) == flux_max
-    assert sending(2.0, 0.0, 100.0, None, DIAG, SHAPE, EmbeddingMode.NONE) == flux_max
-    assert receiving(2.0, 0.0, 100.0, None, DIAG, SHAPE, EmbeddingMode.NONE) == 0.0
+    sigma, flux_max = _critical(2.0, None, NONE)
+    _, _, send, recv = _capacities(2.0, [0.0, 100.0, sigma], None, NONE)
+    assert send[0] == 0.0
+    assert recv[0] == flux_max
+    assert send[1] == flux_max
+    assert recv[1] == 0.0
     # at rho = sigma both branches meet at the cap
-    assert sending(2.0, 0.0, sigma, None, DIAG, SHAPE, EmbeddingMode.NONE) == flux_max
-    assert receiving(2.0, 0.0, sigma, None, DIAG, SHAPE, EmbeddingMode.NONE) == flux_max
+    assert send[2] == flux_max
+    assert recv[2] == flux_max
 
 
 def test_sending_receiving_monotone_in_rho():
     rho = np.linspace(0.0, 100.0, 101)
     fleet = _fleet_at((2.2, 25.0))
-    s = np.array([sending(2.0, 0.0, float(r), fleet, DIAG, SHAPE, CV) for r in rho])
-    r_ = np.array([receiving(2.0, 0.0, float(r), fleet, DIAG, SHAPE, CV) for r in rho])
+    _, _, s, r_ = _capacities(2.0, rho, fleet, CV)
     assert np.all(np.diff(s) >= -1e-9)
     assert np.all(np.diff(r_) <= 1e-9)
 
 
 def test_numerical_flux_examples():
-    none = EmbeddingMode.NONE
-    assert numerical_flux(2.0, 0.0, 2.1, 0.0, 0.0, None, DIAG, SHAPE, none) == 0.0
-    _, fmax = critical_density(2.0, 0.0, None, DIAG, SHAPE, none)
-    jammed_to_empty = numerical_flux(2.0, 100.0, 2.1, 0.0, 0.0, None, DIAG, SHAPE, none)
+    assert _godunov(2.0, 0.0, 2.1, 0.0, None, NONE) == 0.0
+    _, fmax = _critical(2.0, None, NONE)
+    jammed_to_empty = _godunov(2.0, 100.0, 2.1, 0.0, None, NONE)
     assert jammed_to_empty == pytest.approx(fmax)
-    free_into_jam = numerical_flux(2.0, 30.0, 2.1, 100.0, 0.0, None, DIAG, SHAPE, none)
+    free_into_jam = _godunov(2.0, 30.0, 2.1, 100.0, None, NONE)
     assert free_into_jam == 0.0
 
 
 def test_numerical_flux_is_the_steps_interface_flux(monkeypatch):
-    """numerical_flux forms sending and receiving as ctm_step does: one
-    embedding per side and the clamped density (cell 5 sits just below 0,
-    inside the clamp band), so every interior interface flux matches."""
+    """Sending and receiving formed one cell at a time give the step's
+    interface fluxes over the whole road, with the clamped density (cell 5
+    sits just below 0, inside the clamp band); the step takes one snapshot."""
     grid = SpatialGrid(a_km=0.0, b_km=3.0, n_cells=12)
     fleet = _fleet_at((1.05, 25.0), (2.3, 60.0))
     rho = np.random.default_rng(13).uniform(5.0, 95.0, size=12)
@@ -223,15 +264,6 @@ def test_numerical_flux_is_the_steps_interface_flux(monkeypatch):
         step_fluxes.append(interface_fluxes(*args))
         return step_fluxes[-1]
 
-    monkeypatch.setattr(lwr, "_interface_fluxes", kept_fluxes)
-    ctm_step(MacroState1(rho=rho), grid, 0.0, 0.5 * max_dt(fleet, DIAG, grid),
-             DIAG, fleet, SHAPE, CV)
-    centers = grid.centers()
-    pointwise = [numerical_flux(centers[j], rho[j], centers[j + 1], rho[j + 1],
-                                0.0, fleet, DIAG, SHAPE, CV) for j in range(11)]
-    assert pointwise == list(step_fluxes[0][1:-1])
-    assert pointwise[5] == 0.0
-
     snapshots = []
     snapshot = Fleet.snapshot
 
@@ -239,10 +271,16 @@ def test_numerical_flux_is_the_steps_interface_flux(monkeypatch):
         snapshots.append(t)
         return snapshot(self, t)
 
+    monkeypatch.setattr(lwr, "_interface_fluxes", kept_fluxes)
     monkeypatch.setattr(Fleet, "snapshot", counted_snapshot)
-    numerical_flux(centers[3], rho[3], centers[4], rho[4], 0.0, fleet, DIAG,
-                   SHAPE, CV)
-    assert len(snapshots) == 2
+    ctm_step(MacroState1(rho=rho), grid, 0.0, 0.5 * max_dt(fleet, DIAG, grid),
+             DIAG, fleet, SHAPE, CV)
+    assert len(snapshots) == 1
+    centers = grid.centers()
+    pointwise = [_godunov(centers[j], rho[j], centers[j + 1], rho[j + 1], fleet, CV)
+                 for j in range(11)]
+    assert pointwise == list(step_fluxes[0][1:-1])
+    assert pointwise[5] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +338,7 @@ def test_ctm_rarefaction_matches_exact_solution():
     centers = grid.centers()
     rho0 = np.where(centers < 1.5, 45.0, 30.0)
     state = MacroState1(rho=rho0)
-    state, _ = run_ctm(state, grid, dt, n_steps, DIAG,
-                       left_flux=float(DIAG.flux(45.0)))
+    state = _run(state, grid, dt, n_steps, left_flux=float(DIAG.flux(45.0)))
     # exact rarefaction: characteristic speed f'(rho) = 90 - 1.8 rho
     xi = (centers - 1.5) / horizon
     exact = np.where(xi <= 90.0 - 1.8 * 45.0, 45.0,
@@ -315,8 +352,7 @@ def test_ctm_shock_moves_at_rankine_hugoniot_speed():
     centers = grid.centers()
     rho0 = np.where(centers < 1.5, 20.0, 40.0)
     state = MacroState1(rho=rho0)
-    state, _ = run_ctm(state, grid, dt, n_steps, DIAG,
-                       left_flux=float(DIAG.flux(20.0)))
+    state = _run(state, grid, dt, n_steps, left_flux=float(DIAG.flux(20.0)))
     shock_speed = (float(DIAG.flux(40.0)) - float(DIAG.flux(20.0))) / (40.0 - 20.0)
     assert shock_speed == pytest.approx(36.0)
     x_exact = 1.5 + shock_speed * horizon  # 2.1 km
@@ -330,8 +366,7 @@ def test_ctm_slow_vehicle_creates_upstream_congestion():
     fleet = _fleet_at((1.5, 5.0))
     state = MacroState1(rho=np.full(30, 30.0))
     dt = 0.5 * max_dt(fleet, DIAG, grid)
-    out, _ = run_ctm(state, grid, dt, 40, DIAG, fleet, SHAPE, CV,
-                     left_flux=float(DIAG.flux(30.0)))
+    out = _run(state, grid, dt, 40, fleet, CV, left_flux=float(DIAG.flux(30.0)))
     centers = grid.centers()
     vehicle_x = 1.5 + 5.0 * 40 * dt
     behind = (centers > vehicle_x - 1.0) & (centers < vehicle_x - 0.1)
@@ -400,6 +435,7 @@ def test_randomized_density_bounds():
 
 
 def test_step_matches_public_operator_composition():
+    # the step's update, composed by hand from each cell's own capacities
     rng = np.random.default_rng(9)
     grid = SpatialGrid(a_km=0.0, b_km=3.0, n_cells=12)
     fleet = _fleet_at((1.0, 25.0), (1.3, 40.0))
@@ -408,14 +444,12 @@ def test_step_matches_public_operator_composition():
     left_flux = 800.0
     out = ctm_step(MacroState1(rho=rho), grid, 0.0, dt, DIAG, fleet, SHAPE,
                    ACV, left_flux=left_flux).rho
-    centers = grid.centers()
+    cells = [_capacities(x, r, fleet, ACV) for x, r in zip(grid.centers(), rho)]
     fluxes = np.empty(13)
-    fluxes[0] = min(left_flux,
-                    receiving(centers[0], 0.0, rho[0], fleet, DIAG, SHAPE, ACV))
+    fluxes[0] = min(left_flux, cells[0][3][0])
     for j in range(11):
-        fluxes[j + 1] = numerical_flux(centers[j], rho[j], centers[j + 1],
-                                       rho[j + 1], 0.0, fleet, DIAG, SHAPE, ACV)
-    fluxes[12] = embedded_flux(centers[-1], 0.0, rho[-1], fleet, DIAG, SHAPE, ACV)
+        fluxes[j + 1] = min(cells[j][2][0], cells[j + 1][3][0])
+    fluxes[12] = cells[-1][1][0]
     manual = rho - (dt / grid.dx_km) * np.diff(fluxes)
     assert np.allclose(out, manual, atol=1e-12)
 

@@ -30,6 +30,7 @@ from trafnox import (
     write_sensors,
     write_trajectories,
 )
+from trafnox import scenario
 from trafnox.lagrangian import synthetic_position
 from trafnox.network import SensorSeries
 
@@ -165,7 +166,7 @@ def test_config_hash_tracks_field_changes():
     assert config_hash(base) == config_hash(ScenarioConfig(n_cells=50))
     assert config_hash(base) != config_hash(ScenarioConfig(n_cells=51))
     assert config_hash(base) != config_hash(
-        dataclasses.replace(base, seed=1))
+        dataclasses.replace(base, cutoff_big_l_km=0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,22 @@ def test_manifest_lists_every_dump_with_matching_rows(tmp_path):
         assert dump.rows.shape[0] == content["n_steps"] // 3
     raw = json.loads((tmp_path / "manifest.json").read_text())
     assert raw["content"] == content
+
+
+@pytest.mark.parametrize("model, diagram", [("lwr", DiagramConfig()),
+                                            ("gsom", CGARZ)])
+def test_record_every_beyond_the_horizon_is_refused_before_stepping(
+        tmp_path, monkeypatch, model, diagram):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before refusing the config")
+
+    monkeypatch.setattr(scenario, "ctm_step", no_step)
+    monkeypatch.setattr(scenario, "gsom_step", no_step)
+    cfg = ScenarioConfig(model=model, diagram=diagram, n_cells=20,
+                         horizon_h=0.02, record_every=10_000)
+    with pytest.raises(ConfigError, match="record_every 10000 exceeds"):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_left_inflow_accumulates_the_injected_mass(tmp_path):
