@@ -36,14 +36,14 @@ def _clamped(value: ArrayLike, lo: float, hi: float, what: str) -> np.ndarray:
     (NaN included)."""
     band = CLAMP_BAND * max(abs(hi), 1.0)
     arr = np.asarray(value, dtype=float)
-    if not np.all((arr >= lo - band) & (arr <= hi + band)):
+    if not ((arr >= lo - band) & (arr <= hi + band)).all():
         bad_lo = float(np.min(arr))
         bad_hi = float(np.max(arr))
         raise ValueError(
             f"{what} outside [{lo}, {hi}] beyond the {CLAMP_BAND} clamp band "
             f"(range seen: [{bad_lo}, {bad_hi}])"
         )
-    return np.clip(arr, lo, hi)
+    return arr.clip(lo, hi)
 
 
 def _as_input_shape(result: np.ndarray, reference: ArrayLike) -> ArrayLike:
@@ -305,7 +305,7 @@ def cutoff(xi: ArrayLike, shape: CutoffShape) -> ArrayLike:
     """Even piecewise-linear trapezoid: 1 on |xi|<=ell, 0 on |xi|>=big_l,
     linear ramp (big_l - |xi|)/(big_l - ell) in between."""
     x = np.abs(np.asarray(xi, dtype=float))
-    out = np.clip((shape.big_l - x) / (shape.big_l - shape.ell), 0.0, 1.0)
+    out = ((shape.big_l - x) / (shape.big_l - shape.ell)).clip(0.0, 1.0)
     return _as_input_shape(out, xi)
 
 

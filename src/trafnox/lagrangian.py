@@ -28,8 +28,9 @@ FTL_MIN_GAP_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear vehicle record with strictly increasing sample times
-    and non-decreasing positions (vehicles never drive backwards)."""
+    """Piecewise-linear vehicle record with finite samples, strictly
+    increasing times and non-decreasing positions (vehicles never drive
+    backwards)."""
 
     vehicle_id: str
     times_h: np.ndarray
@@ -42,10 +43,14 @@ class Trajectory:
     def __post_init__(self) -> None:
         t = np.array(self.times_h, dtype=float)
         x = np.array(self.positions_km, dtype=float)
+        v = None if self.speeds_kmh is None else np.array(self.speeds_kmh, dtype=float)
         if t.ndim != 1 or t.shape != x.shape or t.size < 2:
             raise ConfigError(
                 f"trajectory {self.vehicle_id!r} needs >= 2 aligned (t, x) samples"
             )
+        for name, values in (("times", t), ("positions", x), ("speeds", v)):
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ConfigError(f"trajectory {self.vehicle_id!r}: {name} must be finite")
         t_steps, x_steps = np.diff(t), np.diff(x)
         if np.any(t_steps <= 0):
             raise ConfigError(f"trajectory {self.vehicle_id!r}: times must strictly increase")
@@ -55,8 +60,7 @@ class Trajectory:
         x.flags.writeable = False
         object.__setattr__(self, "times_h", t)
         object.__setattr__(self, "positions_km", x)
-        if self.speeds_kmh is not None:
-            v = np.array(self.speeds_kmh, dtype=float)
+        if v is not None:
             if v.shape != t.shape:
                 raise ConfigError(
                     f"trajectory {self.vehicle_id!r}: speed samples must align with times"
@@ -91,7 +95,7 @@ class Trajectory:
         return self._max_speed
 
     def _segment_index(self, t: float) -> int:
-        k = int(np.searchsorted(self.times_h, t, side="right")) - 1
+        k = int(self.times_h.searchsorted(t, side="right")) - 1
         return min(max(k, 0), self.times_h.size - 2)
 
 

@@ -3,15 +3,16 @@
 The local speed field blends the bulk speed law u(rho) with the speeds of
 tracked vehicles through a compactly supported cutoff: near a tracked
 vehicle the field is pulled toward the harmonic mean of the vehicle's speed
-and u(rho).  Two blending variants exist: using only the closest vehicle,
-or averaging the blends of every vehicle whose cutoff covers the point.
-Densities advance with a Godunov/cell-transmission step built on sampled
-critical densities.
+and u(rho).  An embedding is its covered (point, vehicle) pairs, all of them
+for the averaging variant and each point's closest vehicle's for the other;
+one blend averages a point's pairs.  Densities advance with a
+Godunov/cell-transmission step built on sampled critical densities.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
@@ -62,34 +63,34 @@ class FluxSamplingConfig:
                 f"critical-density search needs >= 16 samples, got {self.n_rho_samples}"
             )
 
+    @functools.lru_cache(maxsize=16)
     def samples(self, rho_max: float) -> np.ndarray:
-        return np.linspace(0.0, rho_max, self.n_rho_samples)
+        """The sample densities on [0, rho_max], built once and read-only."""
+        grid = np.linspace(0.0, rho_max, self.n_rho_samples)
+        grid.flags.writeable = False
+        return grid
 
 
 def harmonic_blend(p_dot: ArrayLike, u: ArrayLike) -> ArrayLike:
     """2 p u / (p + u), the harmonic mean of two speeds; 0 when both vanish."""
-    p_dot = np.asarray(p_dot, dtype=float)
-    u = np.asarray(u, dtype=float)
-    denom = p_dot + u
-    safe = denom > 0.0
-    return np.where(safe, 2.0 * p_dot * u / np.where(safe, denom, 1.0), 0.0)
+    denom = np.add(p_dot, u)
+    return np.divide(2.0 * p_dot * u, denom, out=np.zeros(np.shape(denom)),
+                     where=denom > 0.0)
 
 
 class _Embedding:
-    """Cutoff weights and speeds of the vehicles active at one query time.
+    """The vehicles active at one query time, as covered (point, vehicle) pairs.
 
-    Precomputed once per step for the cell centers, then applied to any
-    stack of bulk-speed arrays whose last axis runs over the query points.
-    In closest-vehicle mode it keeps, per point, the nearest vehicle's
-    offset xi_k = x - p_k, cutoff weight, speed and acceleration.
-    """
+    Built once per step for the cell centers.  A pair keeps its point, cutoff
+    weight chi > 0 and vehicle speed; covering counts each point's pairs.  The
+    averaging variant keeps every covered pair, closest-vehicle mode the nearest
+    vehicle's, plus per point its offset xi_k = x - p_k, chi_k, pdot_k, pddot_k."""
 
     def __init__(self, x: np.ndarray, t: float, fleet: Optional[Fleet],
                  shape: Optional[CutoffShape], mode: EmbeddingMode) -> None:
         self.x = np.asarray(x, dtype=float)
         self.n_points = self.x.size
-        self.mode = mode
-        self.n_active = 0
+        self.n_active, self._ends = 0, []
         if mode is EmbeddingMode.NONE or fleet is None or len(fleet) == 0:
             return
         if shape is None:
@@ -99,56 +100,60 @@ class _Embedding:
         if self.n_active == 0:
             return
         offsets = self.x[:, None] - positions[None, :]
+        # Row r of the layer tables holds each point's r-th covering
+        # vehicle in fleet order (its nearest vehicle in closest-vehicle mode).
         if mode is EmbeddingMode.CLOSEST_VEHICLE:
-            nearest = np.argmin(np.abs(offsets), axis=1)
-            self.xi_k = np.take_along_axis(offsets, nearest[:, None], axis=1)[:, 0]
+            nearest = np.abs(offsets).argmin(axis=1)
+            self.xi_k = self.x - positions[nearest]
             self.chi_k = np.asarray(cutoff(self.xi_k, shape))
-            self.pdot_k = speeds[nearest]
-            self.pddot_k = accels[nearest]
+            self.pdot_k, self.pddot_k = speeds[nearest], accels[nearest]
+            layer_vehicle, layer_chi = nearest[None, :], self.chi_k[None, :]
         else:
-            self.p_dot = speeds
-            self.chi = np.asarray(cutoff(offsets, shape))
+            weights = np.asarray(cutoff(offsets.T, shape))
+            layer_vehicle = (weights <= 0.0).argsort(axis=0, kind="stable")
+            layer_chi = weights[layer_vehicle, np.arange(self.n_points)]
+        # The pairs are the covered entries, rank-major, so that blended adds a
+        # whole rank at once and still sums each point's pairs in vehicle
+        # order: _ends closes each rank, rank 0 holds one pair per covered
+        # point (in point order) and _slot places a pair among those points.
+        keep = layer_chi > 0.0
+        rank, point = keep.nonzero()
+        self._point, self._chi, self._pdot = point, layer_chi[keep], speeds[layer_vehicle[keep]]
+        self._ends = np.bincount(rank).cumsum().tolist()
+        self.covering, self._covered = keep.sum(axis=0), keep[0].nonzero()[0]
+        self._slot = self._covered.searchsorted(point)
 
     def blended(self, u: ArrayLike) -> np.ndarray:
-        """Embedded speed for bulk speeds u (last axis = query points)."""
+        """Mean over each point's pairs of chi H(p, u) + (1 - chi) u; u if none."""
+        # H is the harmonic blend; a point's pairs are summed in vehicle order
         u = np.asarray(u, dtype=float)
-        if self.n_active == 0:
+        if not self._ends:
             return u
-        if self.mode is EmbeddingMode.CLOSEST_VEHICLE:
-            return (self.chi_k * harmonic_blend(self.pdot_k, u)
-                    + (1.0 - self.chi_k) * u)
-        # average over the covering vehicles
-        m = self.n_active
-        extra = max(u.ndim - 1, 0)
-        chi = self.chi.T.reshape((m,) + (1,) * extra + (self.n_points,))
-        pdot = self.p_dot.reshape((m,) + (1,) * (extra + 1))
-        per_vehicle = chi * harmonic_blend(pdot, u[None]) + (1.0 - chi) * u[None]
-        covering = chi > 0.0
-        phi = covering.sum(axis=0)
-        total = np.where(covering, per_vehicle, 0.0).sum(axis=0)
-        return np.where(phi > 0, total / np.where(phi > 0, phi, 1), u)
+        # clip reads column 0 for every pair when u has one column for all points
+        at = u.take(self._point, axis=-1, mode="clip")
+        per_pair = self._chi * harmonic_blend(self._pdot, at) + (1.0 - self._chi) * at
+        total = per_pair[..., :self._ends[0]]
+        for lo, hi in zip(self._ends, self._ends[1:]):
+            total[..., self._slot[lo:hi]] += per_pair[..., lo:hi]
+        out = np.empty(at.shape[:-1] + (self.n_points,))
+        out[...] = u
+        out[..., self._covered] = total / self.covering[self._covered]
+        return out
 
 
-def _critical_tables(emb: _Embedding, rho_samples: np.ndarray,
-                     u_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point (sigma, flux_max) from the sampled embedded-flux table.
+def _critical_tables(rho_samples: np.ndarray,
+                     speed_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point (sigma, flux_max) of the sampled embedded flux rho * speed.
 
-    u_samples holds bulk speeds at the sample densities: shape
-    (n_samples, 1) for a shared law, (n_samples, n_points) when the law
-    varies per point.  An identically-zero flux column takes the first
-    sample, sigma = 0, so sending and receiving both vanish (blockage at a
-    stopped vehicle).  The flux being strictly concave, the sampled sigma
-    lies within one sample spacing of the true maximizer.
+    speed_table holds embedded speeds at the sample densities, one row per
+    sample; a single column stands for every point.  An identically-zero
+    flux column takes the first sample, sigma = 0, so sending and receiving
+    both vanish (blockage at a stopped vehicle).  The flux being strictly
+    concave, the sampled sigma lies within one sample spacing of the true
+    maximizer.
     """
-    speed_table = np.broadcast_to(
-        np.asarray(emb.blended(u_samples), dtype=float),
-        (rho_samples.size, emb.n_points),
-    )
     flux_table = rho_samples[:, None] * speed_table
-    best = np.argmax(flux_table, axis=0)
-    sigma = rho_samples[best]
-    flux_max = np.take_along_axis(flux_table, best[None, :], axis=0)[0]
-    return sigma, flux_max
+    return rho_samples[flux_table.argmax(axis=0)], flux_table.max(axis=0)
 
 
 def _cell_capacities(x: np.ndarray, t: float, rho: np.ndarray, rho_max: float,
@@ -158,19 +163,21 @@ def _cell_capacities(x: np.ndarray, t: float, rho: np.ndarray, rho_max: float,
     """(clamped rho, (embedded speed, own flux, sending, receiving)) at the
     points x, one density per point, from one embedding.
 
-    speed gives the bulk speed of a density array; the sample densities
-    reach it with a leading sample axis, so it may vary per point.  Sending
-    is the own flux up to sigma and the flux cap above it, receiving the
-    reverse.  The step's interface fluxes and a network junction's boundary
-    capacities both read these arrays.
+    speed gives the bulk speed of a density array; it is called once, on the
+    sample densities stacked above the cells' own row, so it may vary per
+    point, and one blend embeds the whole stack.  Sending is the own flux up
+    to sigma and the flux cap above it, receiving the reverse.  The step's
+    interface fluxes and a network junction's boundary capacities both read
+    these arrays.
     """
     rho = _clamped(np.asarray(rho, dtype=float), 0.0, rho_max, "density")
     emb = _Embedding(x, t, fleet, shape, mode)
     rho_samples = sampling.samples(rho_max)
-    sigma, flux_max = _critical_tables(emb, rho_samples,
-                                       speed(rho_samples[:, None]))
-    speed_own = np.broadcast_to(emb.blended(speed(rho)), (emb.n_points,))
-    flux_own = rho * speed_own
+    rho_table = np.empty((rho_samples.size + 1, rho.size))
+    rho_table[:-1], rho_table[-1] = rho_samples[:, None], rho
+    speed_table = emb.blended(speed(rho_table))
+    sigma, flux_max = _critical_tables(rho_samples, speed_table[:-1])
+    speed_own, flux_own = speed_table[-1], rho * speed_table[-1]
     below = rho <= sigma
     send = np.where(below, flux_own, flux_max)
     recv = np.where(below, flux_max, flux_own)

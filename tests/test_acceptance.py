@@ -78,7 +78,7 @@ def _linear_vehicle(vid: str, x0: float, speed: float, t_end: float) -> Trajecto
 def _sampled_sigma(emb: _Embedding, law, sampling: FluxSamplingConfig) -> float:
     """The sampled critical density at the embedding's one point."""
     samples = sampling.samples(law.rho_max)
-    return float(_critical_tables(emb, samples, law.speed(samples[:, None]))[0][0])
+    return float(_critical_tables(samples, emb.blended(law.speed(samples[:, None])))[0][0])
 
 
 def _flux(rho: np.ndarray | float) -> np.ndarray | float:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from trafnox import Fleet, Trajectory, read_field_dump, scenario, write_sensors
+from trafnox import read_field_dump, scenario, write_sensors
 from trafnox.cli import main
+from trafnox.core import MacroState1
 from trafnox.network import SensorSeries
 
 CGARZ = {"kind": "cgarz", "rho_max": 56.0, "v_max": 90.0, "rho_f": 10.0}
@@ -98,16 +99,13 @@ def test_cfl_violation_exits_3(tmp_path, capsys):
 
 
 def test_non_finite_density_exits_3(tmp_path, monkeypatch, capsys):
-    # a NaN position that got past the loader turns the embedded flux, and
-    # so the density, into NaN; the next step refuses that state
-    broken = Fleet((Trajectory("v0", times_h=np.array([0.0, 1.0]),
-                               positions_km=np.array([np.nan, 3.0]),
-                               speeds_kmh=np.array([30.0, 30.0])),))
-    monkeypatch.setattr(scenario, "load_trajectories", lambda path: {"0": broken})
-    trajectories = tmp_path / "t.csv"
-    trajectories.write_text("v0,0,0,1.0,30\nv0,0,3600,3.0,30\n")
+    # a NaN density that got past the initial-state builders is refused by
+    # the first step, before anything is written
+    def nan_state(cfg, grid, law, data_fleet):
+        return MacroState1(rho=np.full(grid.n_cells, np.nan))
+
+    monkeypatch.setattr(scenario, "_initial_state_1", nan_state)
     config = _write_yaml(tmp_path / "s.yaml", {
-        "embedding": "cv", "trajectories_path": str(trajectories),
         "n_cells": 20, "horizon_h": 0.02,
         "initial": {"kind": "constant", "rho": 30.0},
         "out_dir": str(tmp_path / "out"),

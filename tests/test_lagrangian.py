@@ -62,7 +62,7 @@ def _coverage(fleet, x, t=0.5):
     """Active vehicles whose cutoff covers the point x."""
     emb = _Embedding(np.array([x]), t, fleet, SHAPE,
                      EmbeddingMode.AVERAGE_CLOSEST_VEHICLES)
-    return int(np.count_nonzero(emb.chi[0] > 0.0)) if emb.n_active else 0
+    return int(emb.covering[0]) if emb.n_active else 0
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,22 @@ def test_trajectory_validation():
         Trajectory("bad", times_h=np.array([0.0, 1.0]), positions_km=np.array([1.0, 0.0]))
     with pytest.raises(ConfigError):
         Trajectory("bad", times_h=np.array([0.0]), positions_km=np.array([0.0]))
+
+
+_FINITE_SAMPLES = {"times_h": [0.0, 0.5, 1.0], "positions_km": [0.0, 1.0, 2.0],
+                   "speeds_kmh": [60.0, 60.0, 60.0]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field_name", sorted(_FINITE_SAMPLES))
+def test_trajectory_refuses_non_finite_samples(field_name, bad):
+    samples = {k: np.array(v) for k, v in _FINITE_SAMPLES.items()}
+    samples[field_name][1] = bad
+    with pytest.raises(ConfigError, match="'v7'.*must be finite"):
+        Trajectory("v7", **samples)
+    rows = {k: v if k == "times_h" else v[None, :] for k, v in samples.items()}
+    with pytest.raises(ConfigError, match="'v7'.*must be finite"):
+        Fleet.from_samples(["v7"], **rows)
 
 
 def test_interpolate_linear_segment():

@@ -58,7 +58,7 @@ def _critical(x, fleet, mode, sampling=FluxSamplingConfig()):
     """(sigma, flux_max) of the embedded flux at the point x and t = 0."""
     emb = lwr._Embedding(np.array([x]), 0.0, fleet, SHAPE, mode)
     samples = sampling.samples(DIAG.rho_max)
-    sigma, flux_max = lwr._critical_tables(emb, samples, DIAG.speed(samples[:, None]))
+    sigma, flux_max = lwr._critical_tables(samples, emb.blended(DIAG.speed(samples[:, None])))
     return float(sigma[0]), float(flux_max[0])
 
 
@@ -137,6 +137,66 @@ def test_acv_averages_covering_vehicles():
     # CV picks only the nearest (tie impossible here: 2.0 is closer)
     got_cv = embedded_speed(2.04, 0.0, rho, fleet, DIAG, SHAPE, CV)
     assert got_cv == pytest.approx(blend_1)
+
+
+def test_averaged_speed_does_not_depend_on_the_other_query_points():
+    # about 30 vehicles cover x = 2.0; its speed is the same bits whether it
+    # is queried alone or between two neighbours
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        fleet = _fleet_at(*zip(2.0 + rng.uniform(-0.5, 0.5, 30),
+                               rng.uniform(0.0, 100.0, 30)))
+        rho = rng.uniform(0.0, DIAG.rho_max)
+        alone = embedded_speed(2.0, 0.0, rho, fleet, DIAG, SHAPE, ACV)
+        among = embedded_speed(np.array([1.9, 2.0, 2.1]), 0.0, rho, fleet,
+                               DIAG, SHAPE, ACV)
+        assert alone[0] == among[1]
+
+
+def _restated_average(x, positions, speeds, u, shape):
+    """Mean over covering vehicles, added one by one in fleet order, of
+    chi 2pu/(p+u) + (1-chi) u (0 where p + u = 0); u where none covers."""
+    u = np.broadcast_to(u, u.shape[:-1] + (x.size,))
+    out = np.array(u)
+    for i, xi in enumerate(x):
+        ui, total, count = u[..., i], np.zeros(u.shape[:-1]), 0
+        for p, p_dot in zip(positions, speeds):
+            chi = float(np.clip((shape.big_l - abs(xi - p)) / (shape.big_l - shape.ell),
+                                0.0, 1.0))
+            if chi > 0.0:
+                d = p_dot + ui
+                h = np.where(d > 0.0, 2.0 * p_dot * ui / np.where(d > 0.0, d, 1.0), 0.0)
+                total = total + (chi * h + (1.0 - chi) * ui)
+                count += 1
+        if count:
+            out[..., i] = total / count
+    return out
+
+
+def test_averaged_blend_is_the_vehicle_order_sum_of_its_pairs():
+    # a platoon-like stack: 41 vehicles 1/32 km apart cover the middle points
+    # about 32 times; dyadic positions give offsets of exactly ell and L
+    shape = CutoffShape(ell=0.125, big_l=0.5)
+    rng = np.random.default_rng(5)
+    positions = 2.0 + np.arange(41) / 32.0
+    speeds = rng.uniform(0.0, 100.0, 41)
+    speeds[20] = 0.0  # a stopped vehicle
+    fleet = Fleet(tuple(
+        Trajectory(f"v{i}", np.array([0.0, 1.0]), np.array([p, p]),
+                   np.array([v, v])) for i, (p, v) in enumerate(zip(positions, speeds))
+    ) + (Trajectory("off", np.array([0.6, 1.0]), np.array([2.5, 2.6])),))
+    x = 1.5 + np.arange(48) / 16.0
+    offsets = np.abs(x[:, None] - positions[None, :])
+    assert np.any(offsets == shape.ell) and np.any(offsets == shape.big_l)
+    emb = lwr._Embedding(x, 0.5, fleet, shape, ACV)
+    assert emb.n_active == 41 and emb.covering.max() >= 30
+    samples = np.linspace(0.0, DIAG.rho_max, 129)
+    column = DIAG.speed(samples[:, None])  # reaches u = 0 at jam density
+    stack = rng.uniform(0.0, 90.0, (129, x.size))
+    stack[:, 25] = 0.0
+    for u in (column, stack):
+        want = _restated_average(x, positions, speeds, u, shape)
+        assert np.array_equal(np.broadcast_to(emb.blended(u), want.shape), want)
 
 
 def test_embedded_speed_broadcasts_a_point_against_densities():
