@@ -28,7 +28,8 @@ from .dataio import (FieldDump, file_sha256, load_sensors, load_trajectories,
                      read_field_dump, write_fields, write_manifest)
 from .diffusion import stable_dt
 from .emissions import load_coefficients
-from .scenario import (ScenarioConfig, _DispersionRun, _emission_evaluator,
+from .scenario import (ScenarioConfig, _data_fleet, _DispersionRun,
+                       _emission_evaluator, _require_vehicle_at_start,
                        generate_trajectories, load_config,
                        load_generation_config, run_scenario)
 
@@ -221,6 +222,8 @@ def _validate_scenario(path: str) -> ScenarioConfig:
                 f"{cfg.trajectories_path}: no trajectories for road "
                 f"{cfg.road_id!r} (roads: {sorted(fleets)})"
             )
+        if cfg.model == "gsom" and cfg.initial.kind == "kde":
+            _require_vehicle_at_start(cfg, _data_fleet(cfg, fleets))
     if cfg.sensors_path is not None:
         load_sensors(cfg.sensors_path)
     if cfg.emission_coeffs_path is not None:

@@ -10,9 +10,11 @@ formats carry seconds (trajectory timestamps) and explicit unit strings
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Union
@@ -20,7 +22,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .core import ConfigError
-from .lagrangian import Fleet, Trajectory
+from .lagrangian import Fleet
 from .network import SensorSeries
 
 __all__ = [
@@ -67,6 +69,8 @@ def _data_lines(path: Path):
 
 def _parse_float(token: str, path: Path, lineno: int, what: str) -> float:
     try:
+        if "_" in token or not token.isascii():
+            raise ValueError(token)     # float() takes these, NumPy's parser does not
         value = float(token)
     except ValueError:
         raise ConfigError(
@@ -81,15 +85,92 @@ def _parse_float(token: str, path: Path, lineno: int, what: str) -> float:
 # ---------------------------------------------------------------------------
 
 def load_trajectories(path: PathLike) -> dict[str, Fleet]:
-    """Per-road fleets from rows `vehicle_id,road_id,t_seconds,x_km,v_kmh`.
+    """Per-road fleets from rows `vehicle_id,road_id,t_seconds,x_km[,v_kmh]`.
 
-    The speed column is optional but must be present on either all rows or
-    none.  Samples are sorted by time per vehicle; a vehicle whose sorted
-    positions decrease anywhere (or that has fewer than two samples) is
-    dropped with a warning.  Malformed rows abort with their line number.
+    The grammar: one sample per line, fields separated by commas and
+    stripped of surrounding whitespace (CRLF line ends read as LF).  Blank
+    lines and lines whose first non-blank character is `#` are skipped, and
+    line numbers in messages count them.  The speed column is optional but
+    must be present on either all rows or none.  Numbers are finite decimal
+    floats; digit-group underscores (`1_0`) and non-ASCII digits are
+    refused, and speeds must be >= 0.  A vehicle's rows may be interleaved
+    with other vehicles' and out of time order: samples are sorted by time
+    per (road, vehicle), and a repeated time is refused at the later row.
+    A vehicle whose sorted positions decrease anywhere, or that has fewer
+    than two samples, is dropped with a warning.  Malformed rows abort with
+    their line number.
     """
     path = Path(path)
-    samples: dict[tuple[str, str], list[tuple[float, float, Optional[float]]]] = {}
+    lines, runs = array("l"), []
+    fields = _trajectory_fields(path, lines, runs)
+    try:
+        values = np.loadtxt(itertools.chain([next(fields)], fields), delimiter=",",
+                            comments=None, ndmin=2)
+    except StopIteration:
+        return {}
+    except ValueError as exc:
+        _check_trajectory_rows(path)
+        raise ConfigError(f"{path}: {exc}") from None
+    if values.shape[1] not in (2, 3) or not (
+            np.isfinite(values).all() and (values[:, 2:] >= 0.0).all()):
+        _check_trajectory_rows(path)
+
+    keys: dict[tuple[str, str], int] = {}      # (road, vehicle) -> group
+    run_groups = [keys.setdefault(key, len(keys)) for _, key in runs]
+    group = np.repeat(run_groups, np.diff([row for row, _ in runs] + [len(lines)]))
+    times = values[:, 0] / _SECONDS_PER_HOUR
+    order = np.lexsort((times, group))
+    group, times, values = group[order], times[order], values[order]
+    same = group[1:] == group[:-1]
+    repeated = same & (times[1:] == times[:-1])
+    if repeated.any():
+        later = repeated.argmax() + 1       # the stable sort keeps file order
+        rid, vid = list(keys)[group[later]]
+        raise ConfigError(
+            f"{path}:{lines[order[later]]}: vehicle {vid!r} on road {rid!r} "
+            f"repeats t_seconds {float(values[later, 0])!r}")
+    counts = np.bincount(group, minlength=len(keys))
+    backwards = set(group[1:][same & (values[1:, 1] < values[:-1, 1])].tolist())
+    kept = []
+    for g, (rid, vid) in enumerate(keys):
+        problem = ("fewer than two samples" if counts[g] < 2 else
+                   "positions decrease" if g in backwards else None)
+        if problem:
+            logger.warning("dropping vehicle %r on road %r: %s", vid, rid, problem)
+        kept.append(problem is None)
+
+    fleets = {}
+    for road in dict.fromkeys(rid for (rid, _), keep in zip(keys, kept) if keep):
+        mine = np.array([keep and rid == road for (rid, _), keep in zip(keys, kept)])
+        rows = mine[group]
+        fleets[road] = Fleet.from_columns(
+            [vid for (_, vid), m in zip(keys, mine) if m], counts[mine], times[rows],
+            values[rows, 1], values[rows, 2] if values.shape[1] == 3 else None)
+    return fleets
+
+
+def _trajectory_fields(path: Path, lines: array, runs: list):
+    """Yield the numeric fields `t_seconds,x_km[,v_kmh]` of each data row.
+
+    Appends each row's line number to lines and, where the (road, vehicle)
+    key changes, (row index, key) to runs.  A row without numeric fields or
+    with an empty id raises ValueError; _check_trajectory_rows names it."""
+    raw = None
+    for lineno, text in _data_lines(path):
+        vid, rid, numbers = text.split(",", 2)
+        if not numbers:
+            raise ValueError(f"no numeric fields at line {lineno}")
+        if (vid, rid) != raw:
+            raw, key = (vid, rid), (rid.strip(), vid.strip())
+            if not all(key):
+                raise ValueError(f"empty id at line {lineno}")
+            runs.append((len(lines), key))
+        lines.append(lineno)
+        yield numbers
+
+
+def _check_trajectory_rows(path: Path) -> None:
+    """Refuse the first row that breaks the per-row grammar, by its line."""
     n_columns: Optional[int] = None
     for lineno, text in _data_lines(path):
         parts = [p.strip() for p in text.split(",")]
@@ -104,37 +185,12 @@ def load_trajectories(path: PathLike) -> dict[str, Fleet]:
                 f"{path}:{lineno}: row has {len(parts)} fields but earlier "
                 f"rows have {n_columns}; the speed column must be used "
                 f"consistently")
-        vid, rid = parts[0], parts[1]
-        if not vid or not rid:
+        if not parts[0] or not parts[1]:
             raise ConfigError(f"{path}:{lineno}: empty vehicle or road id")
-        t_h = _parse_float(parts[2], path, lineno, "t_seconds") / _SECONDS_PER_HOUR
-        x_km = _parse_float(parts[3], path, lineno, "x_km")
-        v_kmh = (_parse_float(parts[4], path, lineno, "v_kmh")
-                 if len(parts) == 5 else None)
-        if v_kmh is not None and v_kmh < 0:
-            raise ConfigError(f"{path}:{lineno}: speed must be >= 0, got {v_kmh}")
-        samples.setdefault((rid, vid), []).append((t_h, x_km, v_kmh))
-
-    fleets: dict[str, list[Trajectory]] = {}
-    for (rid, vid), rows in samples.items():
-        rows.sort(key=lambda r: r[0])
-        if len(rows) < 2:
-            logger.warning("dropping vehicle %r on road %r: fewer than two samples",
-                           vid, rid)
-            continue
-        times = np.array([r[0] for r in rows])
-        positions = np.array([r[1] for r in rows])
-        if np.any(np.diff(positions) < 0):
-            logger.warning("dropping vehicle %r on road %r: positions decrease",
-                           vid, rid)
-            continue
-        speeds = (np.array([r[2] for r in rows])
-                  if rows[0][2] is not None else None)
-        fleets.setdefault(rid, []).append(
-            Trajectory(vehicle_id=vid, times_h=times, positions_km=positions,
-                       speeds_kmh=speeds))
-    return {rid: Fleet(trajectories=tuple(trajs))
-            for rid, trajs in fleets.items()}
+        for token, what in zip(parts[2:], ("t_seconds", "x_km", "v_kmh")):
+            value = _parse_float(token, path, lineno, what)
+        if len(parts) == 5 and value < 0:
+            raise ConfigError(f"{path}:{lineno}: speed must be >= 0, got {value}")
 
 
 def write_trajectories(path: PathLike, fleets: Mapping[str, Fleet]) -> Path:

@@ -8,8 +8,9 @@ contributes nothing to any query; no extrapolation is ever performed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,19 +27,44 @@ FTL_MIN_GAP_FRACTION = 0.2
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _segment_starts(lengths: np.ndarray) -> np.ndarray:
+    """Index, in concatenated columns of runs of the given lengths, of every
+    entry except each run's last: the first sample of every segment."""
+    return np.delete(np.arange(int(lengths.sum())), np.cumsum(lengths) - 1)
+
+
+def _check_samples(ids: Sequence[str], lengths: np.ndarray, times: np.ndarray,
+                   positions: np.ndarray, speeds: np.ndarray) -> None:
+    """Refuse records of fewer than two samples, non-finite samples, times
+    that do not strictly increase, decreasing positions and negative speeds,
+    naming the first record with the first of these faults."""
+    owner = np.repeat(np.arange(len(ids)), lengths)
+    first = _segment_starts(lengths)
+    checks = (
+        (np.arange(len(ids)), lengths < 2, "needs >= 2 samples"),
+        (owner, ~np.isfinite(times), "times must be finite"),
+        (owner, ~np.isfinite(positions), "positions must be finite"),
+        (owner, ~np.isfinite(speeds), "speeds must be finite"),
+        (owner[first], times[first + 1] <= times[first], "times must strictly increase"),
+        (owner[first], positions[first + 1] < positions[first],
+         "positions must be non-decreasing"),
+        (owner, speeds < 0.0, "speeds must be >= 0"),
+    )
+    for record, bad, problem in checks:
+        if bad.any():
+            raise ConfigError(f"trajectory {ids[record[bad.argmax()]]!r}: {problem}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Piecewise-linear vehicle record with finite samples, strictly
     increasing times and non-decreasing positions (vehicles never drive
-    backwards)."""
+    backwards).  The records of a Fleet are read-only views of its columns."""
 
     vehicle_id: str
     times_h: np.ndarray
     positions_km: np.ndarray
     speeds_kmh: Optional[np.ndarray] = None
-    # derived once: segment slopes of a speedless record, and the top speed
-    _slopes: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _max_speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.array(self.times_h, dtype=float)
@@ -48,31 +74,26 @@ class Trajectory:
             raise ConfigError(
                 f"trajectory {self.vehicle_id!r} needs >= 2 aligned (t, x) samples"
             )
-        for name, values in (("times", t), ("positions", x), ("speeds", v)):
-            if values is not None and not np.all(np.isfinite(values)):
-                raise ConfigError(f"trajectory {self.vehicle_id!r}: {name} must be finite")
-        t_steps, x_steps = np.diff(t), np.diff(x)
-        if np.any(t_steps <= 0):
-            raise ConfigError(f"trajectory {self.vehicle_id!r}: times must strictly increase")
-        if np.any(x_steps < 0):
-            raise ConfigError(f"trajectory {self.vehicle_id!r}: positions must be non-decreasing")
-        t.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "times_h", t)
-        object.__setattr__(self, "positions_km", x)
-        if v is not None:
-            if v.shape != t.shape:
-                raise ConfigError(
-                    f"trajectory {self.vehicle_id!r}: speed samples must align with times"
-                )
-            if np.any(v < 0):
-                raise ConfigError(f"trajectory {self.vehicle_id!r}: speeds must be >= 0")
-            v.flags.writeable = False
-            object.__setattr__(self, "speeds_kmh", v)
-        slopes = None if self.speeds_kmh is not None else x_steps / t_steps
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_max_speed", float(np.max(
-            self.speeds_kmh if slopes is None else slopes)))
+        if v is not None and v.shape != t.shape:
+            raise ConfigError(
+                f"trajectory {self.vehicle_id!r}: speed samples must align with times"
+            )
+        _check_samples((self.vehicle_id,), np.array([t.size]), t, x,
+                       np.zeros(t.size) if v is None else v)
+        for name, values in (("times_h", t), ("positions_km", x), ("speeds_kmh", v)):
+            if values is not None:
+                values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @classmethod
+    def _view(cls, vehicle_id: str, times_h: np.ndarray, positions_km: np.ndarray,
+              speeds_kmh: Optional[np.ndarray]) -> "Trajectory":
+        """A record over read-only rows that a fleet has already checked."""
+        record = object.__new__(cls)
+        for name, values in (("vehicle_id", vehicle_id), ("times_h", times_h),
+                             ("positions_km", positions_km), ("speeds_kmh", speeds_kmh)):
+            object.__setattr__(record, name, values)
+        return record
 
     @classmethod
     def from_line(cls, vehicle_id: str, x0_km: float, speed_kmh: float,
@@ -85,85 +106,142 @@ class Trajectory:
             speeds_kmh=np.array([speed_kmh, speed_kmh]),
         )
 
-    def active(self, t: float) -> bool:
-        """Whether the vehicle is on the road (t inside the sampled span)."""
-        return self.times_h[0] <= t <= self.times_h[-1]
-
     @property
     def max_speed_kmh(self) -> float:
         """Largest speed the record can produce (for CFL bounds)."""
-        return self._max_speed
-
-    def _segment_index(self, t: float) -> int:
-        k = int(self.times_h.searchsorted(t, side="right")) - 1
-        return min(max(k, 0), self.times_h.size - 2)
+        if self.speeds_kmh is not None:
+            return float(self.speeds_kmh.max())
+        return float((np.diff(self.positions_km) / np.diff(self.times_h)).max())
 
 
 def interpolate(traj: Trajectory, t: float) -> Optional[tuple[float, float, float]]:
-    """Linearly interpolated (p, p_dot, p_ddot) at time t, or None off-road.
-
-    Position interpolates the samples.  Speed interpolates the recorded
-    speeds when present, else uses the segment slope.  Acceleration is the
-    finite difference of the interpolated speed over one data segment:
-    the speed-ramp slope when speeds are recorded, else the forward
-    difference of segment slopes across adjacent segment midpoints.
-    """
-    if not traj.active(t):
-        return None
-    times = traj.times_h
-    k = traj._segment_index(t)
-    dt_seg = times[k + 1] - times[k]
-    if traj.speeds_kmh is not None:
-        v = traj.speeds_kmh
-        frac = (t - times[k]) / dt_seg
-        p_dot = float(v[k] + frac * (v[k + 1] - v[k]))
-        p = float(traj.positions_km[k]
-                  + (traj.positions_km[k + 1] - traj.positions_km[k]) * frac)
-        p_ddot = float((v[k + 1] - v[k]) / dt_seg)
-        return p, p_dot, p_ddot
-    slopes = traj._slopes
-    p = float(traj.positions_km[k] + slopes[k] * (t - times[k]))
-    p_dot = float(slopes[k])
-    if k + 1 < slopes.size:
-        mid_k = 0.5 * (times[k] + times[k + 1])
-        mid_next = 0.5 * (times[k + 1] + times[k + 2])
-        p_ddot = float((slopes[k + 1] - slopes[k]) / (mid_next - mid_k))
-    else:
-        p_ddot = 0.0
-    return p, p_dot, p_ddot
+    """(p, p_dot, p_ddot) of one record at time t, or None off-road: the
+    one-record case of Fleet.snapshot."""
+    _, p, p_dot, p_ddot = Fleet((traj,)).snapshot(t)
+    return (float(p[0]), float(p_dot[0]), float(p_ddot[0])) if p.size else None
 
 
-@dataclass(frozen=True)
 class Fleet:
-    """An ordered collection of trajectories (query ties break by index)."""
+    """An ordered collection of trajectories (query ties break by index).
 
-    trajectories: tuple[Trajectory, ...]
-    _max_speed: float = field(init=False, repr=False, compare=False)
+    The fleet stores its samples once, as one block of concatenated time,
+    position and speed rows (see ``_store``), and each record in
+    ``trajectories`` is a read-only view of its columns.  The per-segment
+    interpolation coefficients and search keys are formed once, at the
+    first query (``_table``).
+    """
 
-    def __post_init__(self) -> None:
-        trajectories = tuple(self.trajectories)
-        object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "_max_speed", max(
-            (tr.max_speed_kmh for tr in trajectories), default=0.0))
+    def __init__(self, trajectories: Sequence[Trajectory] = ()) -> None:
+        records = tuple(trajectories)
+        columns = [np.concatenate([np.empty(0)] + arrays) for arrays in (
+            [tr.times_h for tr in records], [tr.positions_km for tr in records],
+            [np.zeros(tr.times_h.size) if tr.speeds_kmh is None else tr.speeds_kmh
+             for tr in records])]
+        self._store(tuple(tr.vehicle_id for tr in records),
+                    np.array([tr.times_h.size for tr in records], dtype=np.intp),
+                    *columns, np.array([tr.speeds_kmh is not None for tr in records],
+                                       dtype=bool))
+
+    @classmethod
+    def _of(cls, ids, lengths, times, positions, speeds, has_speed) -> "Fleet":
+        """The fleet of the given columns, built without going through records."""
+        fleet = cls.__new__(cls)
+        fleet._store(ids, lengths, times, positions, speeds, has_speed)
+        return fleet
+
+    def _store(self, ids: tuple[str, ...], lengths: np.ndarray, times: np.ndarray,
+               positions: np.ndarray, speeds: np.ndarray, has_speed: np.ndarray) -> None:
+        """Check the columns, stack them as the fleet's samples and build
+        the record views; the segment table waits for the first query.
+
+        The speed row holds a speedless record's segment slopes instead
+        (the slope of the segment a sample starts, the last one repeated),
+        so that it is the speed each record produces at every sample."""
+        _check_samples(ids, lengths, times, positions, speeds)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        first = _segment_starts(lengths)
+        slopes = np.empty(times.size)
+        slopes[first] = (positions[first + 1] - positions[first]) / (times[first + 1] - times[first])
+        slopes[ends - 1] = slopes[ends - 2]
+        samples = np.stack([times, positions,
+                            np.where(np.repeat(has_speed, lengths), speeds, slopes)])
+        samples.flags.writeable = False
+        self._ids, self._lengths, self._has_speed = ids, lengths, has_speed
+        self._samples, self._max_speed = samples, float(samples[2].max(initial=0.0))
+        self._starts, self._ends = samples[0, starts], samples[0, ends - 1]
+        self.trajectories = tuple(
+            Trajectory._view(vid, samples[0, a:b], samples[1, a:b],
+                             samples[2, a:b] if has else None)
+            for vid, a, b, has in zip(ids, starts.tolist(), ends.tolist(), has_speed.tolist()))
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(segment table, segment search keys).
+
+        Segment k of a record starts at sample k, at (start, x0, v0), and is
+        evaluated as p = x0 + dx frac and p_dot = v0 + frac dv with
+        frac = (t - start) / divisor, and p_ddot = accel.  With recorded
+        speeds, divisor is the segment's duration, dx and dv the increments
+        over it and accel = dv / duration: position and speed interpolate the
+        samples.  Without, divisor is 1, dx = v0 is the segment slope,
+        dv = 0, and accel is the difference of the next and this segment's
+        slopes over the distance of their midpoints (0 on the last segment).
+        A segment's key is the complex number record + 1j start, so NumPy's
+        lexicographic complex order sorts the keys by record, then time.
+        """
+        times, positions, speeds = self._samples
+        lengths = self._lengths
+        first = _segment_starts(lengths)
+        start, v0 = times[first], speeds[first]
+        duration = times[first + 1] - start
+        dx, dv = positions[first + 1] - positions[first], speeds[first + 1] - v0
+        mid = 0.5 * (start + times[first + 1])
+        inner = _segment_starts(lengths - 1)     # segments followed by one of their record
+        bend = np.zeros(first.size)
+        bend[inner] = (v0[inner + 1] - v0[inner]) / (mid[inner + 1] - mid[inner])
+        with_speed = np.repeat(self._has_speed, lengths - 1)
+        segments = np.stack([
+            np.where(with_speed, duration, 1.0), np.where(with_speed, dx, v0),
+            np.where(with_speed, dv, 0.0), np.where(with_speed, dv / duration, bend)])
+        keys = np.empty(first.size, dtype=complex)
+        keys.real = np.repeat(np.arange(len(self)), lengths - 1)
+        keys.imag = start
+        return segments, keys
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self._ids)
 
     @classmethod
     def empty(cls) -> "Fleet":
-        return cls(trajectories=())
+        return cls(())
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], lengths: np.ndarray, times_h: np.ndarray,
+                     positions_km: np.ndarray,
+                     speeds_kmh: Optional[np.ndarray] = None) -> "Fleet":
+        """Record i holds the next lengths[i] rows of the concatenated
+        columns, which the fleet takes over without copying."""
+        n = len(ids)
+        speeds = np.zeros(times_h.size) if speeds_kmh is None else speeds_kmh
+        return cls._of(tuple(ids), np.asarray(lengths, dtype=np.intp), times_h,
+                       positions_km, speeds, np.full(n, speeds_kmh is not None))
 
     @classmethod
     def from_samples(cls, ids: Sequence[str], times_h: np.ndarray,
                      positions_km: np.ndarray,
                      speeds_kmh: Optional[np.ndarray] = None) -> "Fleet":
-        """Build one trajectory per row of the (n_vehicles, n_times) matrices."""
-        trajs = []
-        for i, vid in enumerate(ids):
-            v = None if speeds_kmh is None else speeds_kmh[i]
-            trajs.append(Trajectory(vehicle_id=vid, times_h=times_h,
-                                    positions_km=positions_km[i], speeds_kmh=v))
-        return cls(trajectories=tuple(trajs))
+        """One trajectory per row of the (n_vehicles, n_times) matrices."""
+        times = np.asarray(times_h, dtype=float)
+        rows = np.array(positions_km, dtype=float)
+        speeds = None if speeds_kmh is None else np.array(speeds_kmh, dtype=float)
+        shape = (len(ids), times.size)
+        if times.ndim != 1 or times.size < 2 or rows.shape != shape or (
+                speeds is not None and speeds.shape != shape):
+            raise ConfigError(f"fleet samples need (n_vehicles, n_times) = {shape} "
+                              f"position and speed rows on >= 2 times")
+        return cls.from_columns(ids, np.full(len(ids), times.size), np.tile(times, len(ids)),
+                                rows.ravel(), None if speeds is None else speeds.ravel())
 
     @property
     def max_speed_kmh(self) -> float:
@@ -171,22 +249,33 @@ class Fleet:
         return self._max_speed
 
     def snapshot(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, positions, speeds, accelerations) of vehicles active at t."""
-        idx, pos, vel, acc = [], [], [], []
-        for i, tr in enumerate(self.trajectories):
-            point = interpolate(tr, t)
-            if point is None:
-                continue
-            idx.append(i)
-            pos.append(point[0])
-            vel.append(point[1])
-            acc.append(point[2])
-        return (np.asarray(idx, dtype=int), np.asarray(pos, dtype=float),
-                np.asarray(vel, dtype=float), np.asarray(acc, dtype=float))
+        """(indices, positions, speeds, accelerations) of vehicles active at t.
+
+        A vehicle is active on its closed sampled span; at a sample time it
+        is evaluated on the segment that starts there (its last segment at
+        its end).  No extrapolation is ever performed.
+        """
+        segments, keys = self._table
+        idx = ((self._starts <= t) & (t <= self._ends)).nonzero()[0]
+        # the keys <= (record, t) end at the record's segment; record i's
+        # segment k starts at sample k + i of the concatenated columns
+        segment = keys.searchsorted(idx + complex(0.0, t), side="right") - 1
+        start, x0, v0 = self._samples.take(segment + idx, axis=1)
+        divisor, dx, dv, accel = segments.take(segment, axis=1)
+        frac = (t - start) / divisor
+        return idx, x0 + dx * frac, v0 + frac * dv, accel
 
     def subsample(self, step: int, offset: int = 0) -> "Fleet":
         """Every step-th trajectory starting at offset (tracked-subset runs)."""
-        return Fleet(trajectories=self.trajectories[offset::step])
+        if step == 1 and offset == 0:
+            return self
+        picked = np.zeros(len(self), dtype=bool)
+        picked[offset::step] = True
+        has_speed = self._has_speed[picked]
+        times, positions, speeds = self._samples[:, np.repeat(picked, self._lengths)]
+        return Fleet._of(self._ids[offset::step], self._lengths[picked], times, positions,
+                         np.where(np.repeat(has_speed, self._lengths[picked]), speeds, 0.0),
+                         has_speed)
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,16 @@ def _initial_state_1(cfg: ScenarioConfig, grid: SpatialGrid, law,
     return MacroState1(rho=_profile_rho(cfg.initial, grid, law.rho_max))
 
 
+def _require_vehicle_at_start(cfg: ScenarioConfig, data_fleet: Fleet) -> None:
+    """Refuse a second-order kde start that no vehicle of the (subsampled)
+    fleet is on the road for: its velocity estimate would be undefined."""
+    if not any(tr.times_h[0] <= 0.0 <= tr.times_h[-1] for tr in data_fleet.trajectories):
+        raise ConfigError(
+            f"{cfg.trajectories_path}: a kde initial state on road {cfg.road_id!r} "
+            f"needs a vehicle on the road at t=0; none of the "
+            f"{len(data_fleet)} trajectories used spans t=0")
+
+
 def _initial_state_2(cfg: ScenarioConfig, grid: SpatialGrid,
                      diag: CgarzDiagram,
                      data_fleet: Optional[Fleet]) -> MacroState2:
@@ -481,6 +491,7 @@ def _initial_state_2(cfg: ScenarioConfig, grid: SpatialGrid,
     if cfg.initial.kind != "kde":
         rho = _profile_rho(cfg.initial, grid, diag.rho_max)
         return MacroState2(rho=rho, w=np.full(grid.n_cells, w_fill))
+    _require_vehicle_at_start(cfg, data_fleet)
     rho = _kde_rho(cfg.initial, grid, diag.rho_max, data_fleet, 0.0)
     kcfg = KdeConfig(bandwidth_km=cfg.initial.kde_bandwidth_km,
                      normalization=cfg.initial.kde_normalization)

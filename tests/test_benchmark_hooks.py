@@ -4,8 +4,9 @@
 ``scenario``, ``network`` and ``cli`` look them up by, and reads
 ``ctm_step``'s positional arguments to count blend entries.  A traced run of
 a tiny averaging first-order road and a tiny second-order road must record
-the layers the benchmark reports, so renaming or bypassing one of those
-names fails here rather than only in a traced benchmark run.
+the layers the benchmark reports, among them fleet snapshots and trajectory
+loads with every loaded row, so renaming or bypassing one of those names
+fails here rather than only in a traced benchmark run.
 """
 
 from pathlib import Path
@@ -42,7 +43,12 @@ def test_tracer_records_the_benchmarks_layers(tmp_path, monkeypatch):
             run_scenario(cfg, out_dir=tmp_path / f"run{i}")
     aggregate = tracer.aggregate()
     spans = aggregate["spans"]
-    for layer in ("lwr.ctm_step", "lwr.embedded_speed",
-                  "gsom.acceleration_field", "gsom.step"):
+    for layer in ("lwr.ctm_step", "lwr.embedded_speed", "gsom.acceleration_field",
+                  "gsom.step", "lagrangian.snapshot"):
         assert spans.get(layer, {}).get("calls", 0) > 0, layer
     assert aggregate["counts"]["lwr.blend_entries"] > 0
+    # each run loads the file once, and the loaded fleets hold every row
+    rows = sum(1 for line in trajectories.read_text().splitlines()
+               if line and not line.startswith("#"))
+    assert spans["dataio.load"]["calls"] == len(configs)
+    assert aggregate["counts"]["dataio.rows_loaded"] == len(configs) * rows == 8

@@ -346,3 +346,16 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "generation config ok" in result.stdout
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_kde_start_without_a_vehicle_at_t0_exits_2(tmp_path, capsys, command):
+    # the only vehicle enters at 600 s, so no velocity can be estimated at t=0
+    trajectories = tmp_path / "late.csv"
+    trajectories.write_text("a,0,600,1.0,40\na,0,660,1.5,40\n")
+    config = _gsom_config(tmp_path, embedding="cv",
+                          trajectories_path=str(trajectories),
+                          initial={"kind": "kde"})
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "late.csv" in err and "road '0'" in err and "t=0" in err
+    assert not (tmp_path / "out").exists()

@@ -91,6 +91,75 @@ def test_malformed_trajectory_rows_name_the_line(tmp_path, row, lineno):
         load_trajectories(path)
 
 
+def test_interleaved_and_split_vehicles_match_grouped_input(tmp_path):
+    # b's rows interleave with a's, and a's rows come in two separate runs
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("a,1,0,0.0,50\nb,1,0,5.0,40\na,1,120,2.0,55\n"
+                     "b,1,60,5.5,42\nc,2,0,1.0,30\na,1,60,1.0,52\nc,2,60,1.4,31\n")
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text("a,1,0,0.0,50\na,1,60,1.0,52\na,1,120,2.0,55\n"
+                       "b,1,0,5.0,40\nb,1,60,5.5,42\nc,2,0,1.0,30\nc,2,60,1.4,31\n")
+    got, want = load_trajectories(mixed), load_trajectories(grouped)
+    assert list(got) == list(want) == ["1", "2"]
+    for rid in want:
+        assert [tr.vehicle_id for tr in got[rid].trajectories] == \
+            [tr.vehicle_id for tr in want[rid].trajectories]
+        for g, w in zip(got[rid].trajectories, want[rid].trajectories):
+            np.testing.assert_array_equal(g.times_h, w.times_h)
+            np.testing.assert_array_equal(g.positions_km, w.positions_km)
+            np.testing.assert_array_equal(g.speeds_kmh, w.speeds_kmh)
+
+
+def test_crlf_comments_and_whitespace_follow_the_grammar(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,1,0,0.5,50\na,1,60,1.5,70\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_bytes(b"  # indented comment\r\n\r\n  a , 1 ,0,  0.5 ,50\r\n"
+                       b"\t\r\n\t# another, with commas\r\na,1, 60 ,1.5,\t70 \r\n")
+    got = load_trajectories(spaced)["1"].trajectories[0]
+    want = load_trajectories(plain)["1"].trajectories[0]
+    assert got.vehicle_id == "a"
+    np.testing.assert_array_equal(got.times_h, want.times_h)
+    np.testing.assert_array_equal(got.positions_km, want.positions_km)
+    np.testing.assert_array_equal(got.speeds_kmh, want.speeds_kmh)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,1,60", "expected 4 or 5"),
+    ("a,1,", "expected 4 or 5"),
+    ("a,1,60,1.5,70,9", "expected 4 or 5"),
+    ("a,1,60,1.5", "row has 4 fields"),
+    (" ,1,60,1.5,70", "empty vehicle or road id"),
+    ("a,1,60,1_5,70", "x_km is not a number"),
+    ("a,1,6\u0660,1.5,70", "t_seconds is not a number"),
+    ("a,1,60,1.5,inf", "v_kmh must be finite"),
+    ("a,1,60,1.5,-1", "speed must be >= 0"),
+])
+def test_error_lines_count_comments_and_blank_lines(tmp_path, row, message):
+    path = tmp_path / "t.csv"
+    path.write_text("# header\n\na,1,0,0.5,50\n   # note\n\n" + row + "\n"
+                    "a,1,120,2.5,80\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"t.csv:6: {message}"):
+        load_trajectories(path)
+
+
+def test_first_malformed_row_is_named(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,1,0,0.5,50\na,1,x,1.5,70\na,1,120\n")
+    with pytest.raises(ConfigError, match=":2: t_seconds is not a number"):
+        load_trajectories(path)
+
+
+def test_repeated_time_names_the_later_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# vehicle_id,road_id,t_seconds,x_km,v_kmh\n"
+                    "a,1,0,0.5,50\nb,1,60,2.0,50\na,1,60,1.5,70\n"
+                    "b,1,0,1.0,50\na,1,60.0,1.6,70\n")
+    with pytest.raises(ConfigError, match=r"t.csv:6: vehicle 'a' on road '1' repeats "
+                                          r"t_seconds 60\.0"):
+        load_trajectories(path)
+
+
 def test_inconsistent_speed_column_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,1,0,0.5,50\na,1,60,1.5\n")
@@ -194,6 +263,14 @@ def test_malformed_sensor_rows_rejected(tmp_path, row):
     path = tmp_path / "s.csv"
     path.write_text(row + "\n")
     with pytest.raises(ConfigError, match=":1:"):
+        load_sensors(path)
+
+
+@pytest.mark.parametrize("token", ["8_00", "8\u0660\u0660"])
+def test_sensor_values_refuse_what_the_trajectory_loader_refuses(tmp_path, token):
+    path = tmp_path / "s.csv"
+    path.write_text(f"1,0,800,70\n1,1,{token},70\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=":2: flux_veh_per_h is not a number"):
         load_sensors(path)
 
 

@@ -94,6 +94,76 @@ def test_trajectory_refuses_non_finite_samples(field_name, bad):
         Fleet.from_samples(["v7"], **rows)
 
 
+def _record_formula(traj, t):
+    """The per-record evaluation Fleet.snapshot answers for every vehicle at once:
+    the segment ending after t (right-continuous search), clamped to the
+    record, and linear interpolation on it."""
+    times, x, v = traj.times_h, traj.positions_km, traj.speeds_kmh
+    if not times[0] <= t <= times[-1]:
+        return None
+    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 2)
+    dt_seg = times[k + 1] - times[k]
+    if v is not None:
+        frac = (t - times[k]) / dt_seg
+        return (x[k] + (x[k + 1] - x[k]) * frac, v[k] + frac * (v[k + 1] - v[k]),
+                (v[k + 1] - v[k]) / dt_seg)
+    slopes = np.diff(x) / np.diff(times)
+    p_ddot = 0.0
+    if k + 1 < slopes.size:
+        mid_k, mid_next = 0.5 * (times[k] + times[k + 1]), 0.5 * (times[k + 1] + times[k + 2])
+        p_ddot = (slopes[k + 1] - slopes[k]) / (mid_next - mid_k)
+    return x[k] + slopes[k] * (t - times[k]), slopes[k], p_ddot
+
+
+def _assert_snapshot_is_the_record_formula(fleet, t):
+    idx, p, v, a = fleet.snapshot(t)
+    want = [(i, point) for i, tr in enumerate(fleet.trajectories)
+            if (point := _record_formula(tr, t)) is not None]
+    assert idx.tolist() == [i for i, _ in want]
+    got = np.stack([p, v, a], axis=1) if want else np.empty((0, 3))
+    expected = np.array([point for _, point in want], dtype=float).reshape(-1, 3)
+    assert got.tobytes() == expected.tobytes(), t     # bitwise, signed zeros too
+
+
+@st.composite
+def _records(draw):
+    """Speed or speedless records on their own time grids: integer steps of
+    1/8 (exact sample-node queries) or random steps."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        start = draw(st.integers(-8, 8))
+        steps = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+        times = (start + np.concatenate([[0], np.cumsum(steps)])) / 8.0
+    else:
+        times = draw(st.floats(-1.0, 1.0)) + np.cumsum(
+            draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    moves = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 2.0]), min_size=n, max_size=n))
+    speeds = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 12.5, 1.0 / 7.0, 90.0]),
+                                                min_size=n, max_size=n)))
+    return times, np.cumsum(moves), None if speeds is None else np.array(speeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(_records(), min_size=0, max_size=5),
+       extra=st.lists(st.floats(-2.0, 6.0), max_size=4))
+def test_snapshot_is_the_per_record_formula_bitwise(records, extra):
+    fleet = Fleet(tuple(Trajectory(f"v{i}", t, x, v) for i, (t, x, v) in enumerate(records)))
+    nodes = [float(t) for times, _, _ in records for t in times]
+    mids = [0.5 * (a + b) for times, _, _ in records for a, b in zip(times, times[1:])]
+    beside = [float(np.nextafter(t, side)) for t in nodes for side in (-np.inf, np.inf)]
+    for t in nodes + mids + beside + extra:
+        _assert_snapshot_is_the_record_formula(fleet, t)
+        _assert_snapshot_is_the_record_formula(fleet.subsample(2, 1), t)
+
+
+def test_probe_fleet_snapshot_at_every_step_time():
+    # the paper's 41 oscillating probes at 1 s sampling, queried at the 600
+    # step times of a 2 s step over its 20 minutes (every 2nd a sample node)
+    fleet = generate_synthetic(n=41, c=0.3, horizon_h=1.0 / 3.0, v_max=90.0)
+    for n in range(601):
+        _assert_snapshot_is_the_record_formula(fleet, n * 2.0 / 3600.0)
+
+
 def test_interpolate_linear_segment():
     traj = Trajectory("a", times_h=np.array([0.0, 1.0]), positions_km=np.array([0.0, 10.0]))
     p, p_dot, p_ddot = interpolate(traj, 0.5)
