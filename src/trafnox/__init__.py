@@ -43,7 +43,6 @@ from .lagrangian import (
     KdeConfig,
     Trajectory,
     generate_synthetic,
-    interpolate,
     kde_density,
     kde_velocity,
     run_ftl,

@@ -30,6 +30,7 @@ from .diffusion import stable_dt
 from .emissions import load_coefficients
 from .scenario import (ScenarioConfig, _data_fleet, _DispersionRun,
                        _emission_evaluator, _require_vehicle_at_start,
+                       _six_road_network,
                        generate_trajectories, load_config,
                        load_generation_config, run_scenario)
 
@@ -224,6 +225,8 @@ def _validate_scenario(path: str) -> ScenarioConfig:
             )
         if cfg.model == "gsom" and cfg.initial.kind == "kde":
             _require_vehicle_at_start(cfg, _data_fleet(cfg, fleets))
+    if cfg.model == "network":
+        _six_road_network(cfg, cfg.diagram.build())
     if cfg.sensors_path is not None:
         load_sensors(cfg.sensors_path)
     if cfg.emission_coeffs_path is not None:

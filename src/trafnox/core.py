@@ -7,6 +7,7 @@ hours, kilometres, veh/km and km/h throughout the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -36,14 +37,16 @@ def _clamped(value: ArrayLike, lo: float, hi: float, what: str) -> np.ndarray:
     (NaN included)."""
     band = CLAMP_BAND * max(abs(hi), 1.0)
     arr = np.asarray(value, dtype=float)
-    if not ((arr >= lo - band) & (arr <= hi + band)).all():
+    if not (lo - band <= arr.min(initial=np.inf)
+            and arr.max(initial=-np.inf) <= hi + band):
         bad_lo = float(np.min(arr))
         bad_hi = float(np.max(arr))
         raise ValueError(
             f"{what} outside [{lo}, {hi}] beyond the {CLAMP_BAND} clamp band "
             f"(range seen: [{bad_lo}, {bad_hi}])"
         )
-    return arr.clip(lo, hi)
+    # arr.clip(lo, hi), signed zeros and NaN included, without its Python wrapper
+    return np.minimum(hi, np.maximum(lo, arr))
 
 
 def _as_input_shape(result: np.ndarray, reference: ArrayLike) -> ArrayLike:
@@ -76,8 +79,15 @@ class SpatialGrid:
         return (self.b_km - self.a_km) / self.n_cells
 
     def centers(self) -> np.ndarray:
-        """Cell-center coordinates x_j = a + (j + 1/2) dx, j = 0..n_cells-1."""
-        return self.a_km + (np.arange(self.n_cells) + 0.5) * self.dx_km
+        """Cell-center coordinates x_j = a + (j + 1/2) dx, j = 0..n_cells-1,
+        formed once per grid and read-only."""
+        return self._centers
+
+    @functools.cached_property
+    def _centers(self) -> np.ndarray:
+        centers = self.a_km + (np.arange(self.n_cells) + 0.5) * self.dx_km
+        centers.flags.writeable = False
+        return centers
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def _advance(tables, grid: SpatialGrid, dt: float, diag: CgarzDiagram,
     the current state; the caller has checked dt against max_dt_2."""
     rho, w, (speed_own, flux_own, send, recv) = tables
     fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
-    rho_new = rho - (dt / grid.dx_km) * np.diff(fluxes)
+    rho_new = rho - (dt / grid.dx_km) * (fluxes[1:] - fluxes[:-1])
     if left_w is None:
         ghost_w = w[0]
     else:

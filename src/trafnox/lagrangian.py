@@ -114,13 +114,6 @@ class Trajectory:
         return float((np.diff(self.positions_km) / np.diff(self.times_h)).max())
 
 
-def interpolate(traj: Trajectory, t: float) -> Optional[tuple[float, float, float]]:
-    """(p, p_dot, p_ddot) of one record at time t, or None off-road: the
-    one-record case of Fleet.snapshot."""
-    _, p, p_dot, p_ddot = Fleet((traj,)).snapshot(t)
-    return (float(p[0]), float(p_dot[0]), float(p_ddot[0])) if p.size else None
-
-
 class Fleet:
     """An ordered collection of trajectories (query ties break by index).
 

@@ -6,7 +6,10 @@ vehicle the field is pulled toward the harmonic mean of the vehicle's speed
 and u(rho).  An embedding is its covered (point, vehicle) pairs, all of them
 for the averaging variant and each point's closest vehicle's for the other;
 one blend averages a point's pairs.  Densities advance with a
-Godunov/cell-transmission step built on sampled critical densities.
+Godunov/cell-transmission step built on sampled critical densities.  A step
+evaluates the bulk law on the sample densities, as one column, and on the
+cells' own densities, and blends the two apart, so a per-density law's
+sample table stays one column wide until a vehicle covers a point.
 """
 
 from __future__ import annotations
@@ -71,10 +74,15 @@ class FluxSamplingConfig:
         return grid
 
 
+# How many pair values blended forms at once: 2**15 doubles, 256 KiB, which
+# keeps a run's temporaries within a core's share of L2 cache.
+_CACHE_ENTRIES = 1 << 15
+
+
 def harmonic_blend(p_dot: ArrayLike, u: ArrayLike) -> ArrayLike:
     """2 p u / (p + u), the harmonic mean of two speeds; 0 when both vanish."""
     denom = np.add(p_dot, u)
-    return np.divide(2.0 * p_dot * u, denom, out=np.zeros(np.shape(denom)),
+    return np.divide(2.0 * p_dot * u, denom, out=np.zeros(denom.shape),
                      where=denom > 0.0)
 
 
@@ -82,15 +90,16 @@ class _Embedding:
     """The vehicles active at one query time, as covered (point, vehicle) pairs.
 
     Built once per step for the cell centers.  A pair keeps its point, cutoff
-    weight chi > 0 and vehicle speed; covering counts each point's pairs.  The
+    weight chi > 0 and vehicle; covering counts each point's pairs.  The
     averaging variant keeps every covered pair, closest-vehicle mode the nearest
-    vehicle's, plus per point its offset xi_k = x - p_k, chi_k, pdot_k, pddot_k."""
+    vehicle's, plus per point its offset xi_k = x - p_k, chi_k, pdot_k, pddot_k.
+    A point's r-th pair, in fleet order, has rank r."""
 
     def __init__(self, x: np.ndarray, t: float, fleet: Optional[Fleet],
                  shape: Optional[CutoffShape], mode: EmbeddingMode) -> None:
         self.x = np.asarray(x, dtype=float)
         self.n_points = self.x.size
-        self.n_active, self._ends = 0, []
+        self.n_active, self._ranks = 0, []
         if mode is EmbeddingMode.NONE or fleet is None or len(fleet) == 0:
             return
         if shape is None:
@@ -100,45 +109,96 @@ class _Embedding:
         if self.n_active == 0:
             return
         offsets = self.x[:, None] - positions[None, :]
-        # Row r of the layer tables holds each point's r-th covering
-        # vehicle in fleet order (its nearest vehicle in closest-vehicle mode).
+        # The pairs are the covered entries, rank-major, each rank in the
+        # order of _covered: the covered points, most-covered first (ties in
+        # point order).  Rank r's points are then the first of them, so a rank
+        # adds to a prefix of blended's running total, and each point's pairs
+        # are still summed in vehicle order.  ends closes each rank.
         if mode is EmbeddingMode.CLOSEST_VEHICLE:
+            # one rank: each covered point's pair with its nearest vehicle
             nearest = np.abs(offsets).argmin(axis=1)
             self.xi_k = self.x - positions[nearest]
             self.chi_k = np.asarray(cutoff(self.xi_k, shape))
             self.pdot_k, self.pddot_k = speeds[nearest], accels[nearest]
-            layer_vehicle, layer_chi = nearest[None, :], self.chi_k[None, :]
+            self.covering = (self.chi_k > 0.0).astype(np.intp)
+            self._covered = self._point = self.covering.nonzero()[0]
+            self._vehicle, chi = nearest.take(self._covered), self.chi_k.take(self._covered)
+            ends = [self._covered.size]
         else:
+            # row r of the layer tables holds each covered point's r-th
+            # covering vehicle in fleet order
             weights = np.asarray(cutoff(offsets.T, shape))
-            layer_vehicle = (weights <= 0.0).argsort(axis=0, kind="stable")
-            layer_chi = weights[layer_vehicle, np.arange(self.n_points)]
-        # The pairs are the covered entries, rank-major, so that blended adds a
-        # whole rank at once and still sums each point's pairs in vehicle
-        # order: _ends closes each rank, rank 0 holds one pair per covered
-        # point (in point order) and _slot places a pair among those points.
-        keep = layer_chi > 0.0
-        rank, point = keep.nonzero()
-        self._point, self._chi, self._pdot = point, layer_chi[keep], speeds[layer_vehicle[keep]]
-        self._ends = np.bincount(rank).cumsum().tolist()
-        self.covering, self._covered = keep.sum(axis=0), keep[0].nonzero()[0]
-        self._slot = self._covered.searchsorted(point)
+            self.covering = (weights > 0.0).sum(axis=0)
+            self._covered = (-self.covering).argsort(kind="stable")[
+                :np.count_nonzero(self.covering)]
+            count = self.covering.take(self._covered)
+            weights = weights.take(self._covered, axis=1)
+            layer_vehicle = (weights <= 0.0).argsort(axis=0, kind="stable")[
+                :count.max(initial=0)]
+            layer_chi = weights[layer_vehicle, np.arange(self._covered.size)]
+            keep = layer_chi > 0.0
+            rank, column = keep.nonzero()
+            self._vehicle, self._point = layer_vehicle[keep], self._covered.take(column)
+            chi = layer_chi[keep]
+            ends = np.bincount(rank).cumsum().tolist()
+            self._count = count[:, None]
+        if not self._covered.size:
+            return
+        self._ranks = list(zip([0] + ends, ends))
+        self._speeds, self._chi = speeds, chi[:, None]
+        self._rest, self._pdot = 1.0 - self._chi, speeds.take(self._vehicle)[:, None]
+
+    def _runs(self, width: int):
+        """The ranks in runs of at most width pairs, or one rank if wider."""
+        if self._ranks[-1][1] <= width:
+            return [self._ranks]
+        runs, run = [], []
+        for lo, hi in self._ranks:
+            if run and hi - run[0][0] > width:
+                runs.append(run)
+                run = []
+            run.append((lo, hi))
+        return runs + [run]
 
     def blended(self, u: ArrayLike) -> np.ndarray:
-        """Mean over each point's pairs of chi H(p, u) + (1 - chi) u; u if none."""
-        # H is the harmonic blend; a point's pairs are summed in vehicle order
+        """Mean over each point's pairs of chi H(p, u) + (1 - chi) u; u if none.
+
+        u holds one speed per point along its last axis, or one column for
+        every point.  H is the harmonic blend; a point's pairs are summed in
+        vehicle order.  The work is pair-major: each point's speeds are one
+        contiguous row.  The pair values of a run of whole ranks, a cache's
+        worth, are formed together and in place, and each rank is then added
+        to the prefix of the running total that its points occupy.  A
+        one-column u gives every pair of a vehicle the same speeds, so H is
+        then formed once per vehicle and gathered per pair.
+        """
         u = np.asarray(u, dtype=float)
-        if not self._ends:
+        if not self._ranks:
             return u
-        # clip reads column 0 for every pair when u has one column for all points
-        at = u.take(self._point, axis=-1, mode="clip")
-        per_pair = self._chi * harmonic_blend(self._pdot, at) + (1.0 - self._chi) * at
-        total = per_pair[..., :self._ends[0]]
-        for lo, hi in zip(self._ends, self._ends[1:]):
-            total[..., self._slot[lo:hi]] += per_pair[..., lo:hi]
-        out = np.empty(at.shape[:-1] + (self.n_points,))
-        out[...] = u
-        out[..., self._covered] = total / self.covering[self._covered]
-        return out
+        rows = u.reshape(-1, u.shape[-1]).T
+        shared = rows.shape[0] == 1
+        if shared:
+            per_vehicle, at = harmonic_blend(self._speeds[:, None], rows), rows
+        for run in self._runs(_CACHE_ENTRIES // rows.shape[1]):
+            base, top = run[0][0], run[-1][1]
+            if shared:
+                part = per_vehicle.take(self._vehicle[base:top], axis=0)
+            else:
+                at = rows.take(self._point[base:top], axis=0)
+                part = harmonic_blend(self._pdot[base:top], at)
+            part *= self._chi[base:top]
+            part += self._rest[base:top] * at
+            for lo, hi in run:
+                if lo == 0:
+                    total = part[:hi]
+                else:
+                    total[:hi - lo] += part[lo - base:hi - base]
+        if len(self._ranks) > 1:  # with one rank every point has one pair
+            total /= self._count
+        out = np.empty((self.n_points, rows.shape[1]))
+        out[...] = rows
+        out[self._covered] = total
+        return out.T.reshape(u.shape[:-1] + (self.n_points,))
 
 
 def _critical_tables(rho_samples: np.ndarray,
@@ -146,7 +206,9 @@ def _critical_tables(rho_samples: np.ndarray,
     """Per-point (sigma, flux_max) of the sampled embedded flux rho * speed.
 
     speed_table holds embedded speeds at the sample densities, one row per
-    sample; a single column stands for every point.  An identically-zero
+    sample and one column per point; a single column, a per-density law's
+    with nothing blended, stands for every point and gives one (sigma,
+    flux_max) that broadcasts against the points.  An identically-zero
     flux column takes the first sample, sigma = 0, so sending and receiving
     both vanish (blockage at a stopped vehicle).  The flux being strictly
     concave, the sampled sigma lies within one sample spacing of the true
@@ -163,21 +225,23 @@ def _cell_capacities(x: np.ndarray, t: float, rho: np.ndarray, rho_max: float,
     """(clamped rho, (embedded speed, own flux, sending, receiving)) at the
     points x, one density per point, from one embedding.
 
-    speed gives the bulk speed of a density array; it is called once, on the
-    sample densities stacked above the cells' own row, so it may vary per
-    point, and one blend embeds the whole stack.  Sending is the own flux up
-    to sigma and the flux cap above it, receiving the reverse.  The step's
-    interface fluxes and a network junction's boundary capacities both read
-    these arrays.
+    speed gives the bulk speed of a density array and may vary per point,
+    broadcasting a column of densities against the points.  It is called on
+    the sample densities as one column and on the cells' own densities, and
+    each result is blended on its own: a per-density law's sample speeds stay
+    one column for the critical tables when no vehicle covers a point, and
+    otherwise have their harmonic means formed once per vehicle.  Sending is
+    the own flux up to sigma and the flux cap above it, receiving the reverse.
+    The step's interface fluxes and a network junction's boundary capacities
+    both read these arrays.
     """
     rho = _clamped(np.asarray(rho, dtype=float), 0.0, rho_max, "density")
     emb = _Embedding(x, t, fleet, shape, mode)
     rho_samples = sampling.samples(rho_max)
-    rho_table = np.empty((rho_samples.size + 1, rho.size))
-    rho_table[:-1], rho_table[-1] = rho_samples[:, None], rho
-    speed_table = emb.blended(speed(rho_table))
-    sigma, flux_max = _critical_tables(rho_samples, speed_table[:-1])
-    speed_own, flux_own = speed_table[-1], rho * speed_table[-1]
+    sigma, flux_max = _critical_tables(rho_samples,
+                                       emb.blended(speed(rho_samples[:, None])))
+    speed_own = emb.blended(speed(rho))
+    flux_own = rho * speed_own
     below = rho <= sigma
     send = np.where(below, flux_own, flux_max)
     recv = np.where(below, flux_max, flux_own)
@@ -262,5 +326,5 @@ def ctm_step(state: MacroState1, grid: SpatialGrid, t: float, dt: float,
         grid.centers(), t, state.rho, law.rho_max, law.speed, fleet, shape, mode,
         sampling)
     fluxes = _interface_fluxes(flux_own, send, recv, left_flux, right_flux)
-    return MacroState1(rho=rho - (dt / grid.dx_km) * np.diff(fluxes))
+    return MacroState1(rho=rho - (dt / grid.dx_km) * (fluxes[1:] - fluxes[:-1]))
 

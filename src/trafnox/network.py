@@ -528,6 +528,10 @@ def build_six_road_network(diagram: CgarzDiagram,
         if abs(n_cells * dx_km - lengths[road_id]) > 1e-9:
             raise ConfigError(
                 f"road {road_id}: dx = {dx_km} does not divide {lengths[road_id]} km")
+        if n_cells < 2:
+            raise ConfigError(
+                f"road {road_id}: lengths_km gives {lengths[road_id]} km, a single "
+                f"cell of dx_km = {dx_km}; a second-order road needs at least 2 cells")
         roads.append(Road.empty(road_id, lengths[road_id], n_cells, diagram, w0))
     diverges = (
         DivergeJunction(in_road="1", out_main="1>2", out_side="1>6", alpha=alphas[0]),

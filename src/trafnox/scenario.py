@@ -44,7 +44,7 @@ from .lagrangian import (Fleet, FtlConfig, FtlState, KdeConfig,
                          run_ftl)
 from .lwr import (EmbeddingMode, FluxSamplingConfig, ctm_step, embedded_speed,
                   max_dt)
-from .network import build_six_road_network, network_step, warm_start
+from .network import RoadNetwork, build_six_road_network, network_step, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -252,6 +252,11 @@ class ScenarioConfig:
             )
         if self.n_cells < 1:
             raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
+        if self.model == "gsom" and self.n_cells < 2:
+            raise ConfigError(
+                f"n_cells must be >= 2 for model 'gsom', whose acceleration "
+                f"field differences neighbouring cells, got {self.n_cells}"
+            )
         if self.horizon_h <= 0:
             raise ConfigError(f"horizon_h must be > 0, got {self.horizon_h}")
         if self.dt_h is not None and self.dt_h <= 0:
@@ -751,13 +756,19 @@ def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     return dumps, meta
 
 
+def _six_road_network(cfg: ScenarioConfig, diag: CgarzDiagram) -> RoadNetwork:
+    """The empty network of a network config (validate builds it too)."""
+    ncfg = cfg.network
+    return build_six_road_network(diag, lengths_km=ncfg.lengths_km,
+                                  dx_km=ncfg.dx_km, alphas=ncfg.alphas,
+                                  betas=ncfg.betas, w0=cfg.initial.w0)
+
+
 def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
                  sensors: Mapping) -> tuple[dict, dict]:
     diag = cfg.diagram.build()
     ncfg = cfg.network
-    net = build_six_road_network(diag, lengths_km=ncfg.lengths_km,
-                                 dx_km=ncfg.dx_km, alphas=ncfg.alphas,
-                                 betas=ncfg.betas, w0=cfg.initial.w0)
+    net = _six_road_network(cfg, diag)
     shape = cfg.cutoff_shape()
     sampling = cfg.sampling()
     embed_fleets = ({rid: fleet.subsample(cfg.embed_subsample)

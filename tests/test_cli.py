@@ -359,3 +359,35 @@ def test_kde_start_without_a_vehicle_at_t0_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "late.csv" in err and "road '0'" in err and "t=0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_one_cell_second_order_road_exits_2(tmp_path, capsys, command):
+    # the acceleration field differences neighbouring cells, so a one-cell
+    # gsom road is refused up front instead of failing inside the first step
+    config = _gsom_config(tmp_path, n_cells=1)
+    assert main([command, "--config", config]) == 2
+    assert "n_cells must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_one_cell_network_road_exits_2(tmp_path, capsys, command):
+    series = {rid: SensorSeries(road_id=rid, minutes=tuple(range(35)),
+                                flux_veh_per_h=tuple([800.0] * 35),
+                                speed_kmh=tuple([70.0] * 35))
+              for rid in ("1", "3", "5")}
+    sensors = tmp_path / "sensors.csv"
+    write_sensors(sensors, series)
+    lengths = {rid: 2.0 for rid in ("1", "2", "3", "4", "5", "6")}
+    lengths["4"] = 0.5  # exactly one cell of dx_km
+    config = _write_yaml(tmp_path / "net.yaml", {
+        "model": "network", "diagram": dict(CGARZ),
+        "horizon_h": 0.01, "sensors_path": str(sensors),
+        "network": {"dx_km": 0.5, "lengths_km": lengths},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "road 4" in err and "lengths_km" in err and "dx_km" in err
+    assert not (tmp_path / "out").exists()

@@ -19,7 +19,6 @@ from trafnox.lagrangian import (
     KdeConfig,
     Trajectory,
     generate_synthetic,
-    interpolate,
     kde_density,
     kde_velocity,
     optimal_velocity,
@@ -166,47 +165,50 @@ def test_probe_fleet_snapshot_at_every_step_time():
 
 def test_interpolate_linear_segment():
     traj = Trajectory("a", times_h=np.array([0.0, 1.0]), positions_km=np.array([0.0, 10.0]))
-    p, p_dot, p_ddot = interpolate(traj, 0.5)
-    assert p == pytest.approx(5.0)
-    assert p_dot == pytest.approx(10.0)
-    assert p_ddot == 0.0
+    idx, p, p_dot, p_ddot = Fleet((traj,)).snapshot(0.5)
+    assert idx.tolist() == [0]
+    assert p[0] == pytest.approx(5.0)
+    assert p_dot[0] == pytest.approx(10.0)
+    assert p_ddot[0] == 0.0
 
 
 def test_interpolate_at_sample_nodes():
     traj = Trajectory("a", times_h=np.array([0.0, 1.0]), positions_km=np.array([0.0, 10.0]),
                       speeds_kmh=np.array([0.0, 20.0]))
-    p0, v0, _ = interpolate(traj, 0.0)
-    p1, v1, _ = interpolate(traj, 1.0)
-    assert (p0, v0) == (0.0, 0.0)
-    assert (p1, v1) == (10.0, 20.0)
+    fleet = Fleet((traj,))
+    _, p0, v0, _ = fleet.snapshot(0.0)
+    _, p1, v1, _ = fleet.snapshot(1.0)
+    assert (p0[0], v0[0]) == (0.0, 0.0)
+    assert (p1[0], v1[0]) == (10.0, 20.0)
 
 
 def test_interpolate_speed_ramp():
     traj = Trajectory("a", times_h=np.array([0.0, 1.0]), positions_km=np.array([0.0, 10.0]),
                       speeds_kmh=np.array([0.0, 20.0]))
-    p, p_dot, p_ddot = interpolate(traj, 0.5)
-    assert p == pytest.approx(5.0)
-    assert p_dot == pytest.approx(10.0)
-    assert p_ddot == pytest.approx(20.0)  # ramp slope over one segment
+    _, p, p_dot, p_ddot = Fleet((traj,)).snapshot(0.5)
+    assert p[0] == pytest.approx(5.0)
+    assert p_dot[0] == pytest.approx(10.0)
+    assert p_ddot[0] == pytest.approx(20.0)  # ramp slope over one segment
 
 
 def test_interpolate_off_road_signal():
-    traj = Trajectory.from_line("a", 0.0, 10.0, t0_h=0.25, t1_h=0.75)
-    assert interpolate(traj, 0.1) is None
-    assert interpolate(traj, 0.9) is None
-    assert interpolate(traj, 0.5) is not None
+    fleet = Fleet((Trajectory.from_line("a", 0.0, 10.0, t0_h=0.25, t1_h=0.75),))
+    for t in (0.1, 0.9):
+        idx, p, p_dot, p_ddot = fleet.snapshot(t)
+        assert idx.size == p.size == p_dot.size == p_ddot.size == 0
+    assert fleet.snapshot(0.5)[0].tolist() == [0]
 
 
 def test_slope_acceleration_across_segment_midpoints():
     # speeds 10 then 30 km/h on two unit segments -> p_ddot = (30-10)/1
-    traj = Trajectory("a", times_h=np.array([0.0, 1.0, 2.0]),
-                      positions_km=np.array([0.0, 10.0, 40.0]))
-    _, p_dot, p_ddot = interpolate(traj, 0.5)
-    assert p_dot == pytest.approx(10.0)
-    assert p_ddot == pytest.approx(20.0)
-    _, p_dot_2, p_ddot_2 = interpolate(traj, 1.5)
-    assert p_dot_2 == pytest.approx(30.0)
-    assert p_ddot_2 == 0.0  # last segment: no forward midpoint
+    fleet = Fleet((Trajectory("a", times_h=np.array([0.0, 1.0, 2.0]),
+                              positions_km=np.array([0.0, 10.0, 40.0])),))
+    _, _, p_dot, p_ddot = fleet.snapshot(0.5)
+    assert p_dot[0] == pytest.approx(10.0)
+    assert p_ddot[0] == pytest.approx(20.0)
+    _, _, p_dot_2, p_ddot_2 = fleet.snapshot(1.5)
+    assert p_dot_2[0] == pytest.approx(30.0)
+    assert p_ddot_2[0] == 0.0  # last segment: no forward midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,9 @@ def test_generate_synthetic_fleet():
     assert traj.times_h[0] == 0.0
     assert traj.times_h[-1] == pytest.approx(1.0 / 3.0)
     assert traj.speeds_kmh is not None
-    point = interpolate(traj, 0.123)
+    _, p, _, _ = Fleet((traj,)).snapshot(0.123)
     exact = synthetic_position(0, 0.123, 5, 0.3, 1.0 / 3.0, 90.0)
-    assert point[0] == pytest.approx(exact, abs=2e-4)  # 1 s sampling, <0.2 m error
+    assert p[0] == pytest.approx(exact, abs=2e-4)  # 1 s sampling, <0.2 m error
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,23 @@ def _restated_average(x, positions, speeds, u, shape):
     return out
 
 
+def _restated_closest(x, positions, speeds, u, shape):
+    """chi 2pu/(p+u) + (1-chi) u (0 where p + u = 0) with each point's nearest
+    vehicle (the first in fleet order on a tie) where its chi > 0; u elsewhere."""
+    u = np.broadcast_to(u, u.shape[:-1] + (x.size,))
+    out = np.array(u)
+    for i, xi in enumerate(x):
+        k = int(np.argmin(np.abs(xi - positions)))
+        chi = float(np.clip((shape.big_l - abs(xi - positions[k])) / (shape.big_l - shape.ell),
+                            0.0, 1.0))
+        if chi > 0.0:
+            ui, p_dot = u[..., i], speeds[k]
+            d = p_dot + ui
+            h = np.where(d > 0.0, 2.0 * p_dot * ui / np.where(d > 0.0, d, 1.0), 0.0)
+            out[..., i] = chi * h + (1.0 - chi) * ui
+    return out
+
+
 def test_averaged_blend_is_the_vehicle_order_sum_of_its_pairs():
     # a platoon-like stack: 41 vehicles 1/32 km apart cover the middle points
     # about 32 times; dyadic positions give offsets of exactly ell and L
@@ -190,13 +207,22 @@ def test_averaged_blend_is_the_vehicle_order_sum_of_its_pairs():
     assert np.any(offsets == shape.ell) and np.any(offsets == shape.big_l)
     emb = lwr._Embedding(x, 0.5, fleet, shape, ACV)
     assert emb.n_active == 41 and emb.covering.max() >= 30
+    closest = lwr._Embedding(x, 0.5, fleet, shape, CV)
+    assert closest.n_active == 41 and 0 < closest.covering.sum() < x.size
+    # every table _cell_capacities blends: a per-density law's sample column
+    # (reaching u = 0 at jam density), a per-point sample table, and the
+    # cells' own row, blended on its own
     samples = np.linspace(0.0, DIAG.rho_max, 129)
-    column = DIAG.speed(samples[:, None])  # reaches u = 0 at jam density
+    column = DIAG.speed(samples[:, None])
     stack = rng.uniform(0.0, 90.0, (129, x.size))
     stack[:, 25] = 0.0
-    for u in (column, stack):
+    row = rng.uniform(0.0, 90.0, x.size)
+    row[[25, 30]] = 0.0
+    for u in (column, stack, row):
         want = _restated_average(x, positions, speeds, u, shape)
         assert np.array_equal(np.broadcast_to(emb.blended(u), want.shape), want)
+        want = _restated_closest(x, positions, speeds, u, shape)
+        assert np.array_equal(np.broadcast_to(closest.blended(u), want.shape), want)
 
 
 def test_embedded_speed_broadcasts_a_point_against_densities():
@@ -360,6 +386,33 @@ def test_ctm_step_refuses_cfl_violation():
     state = MacroState1(rho=np.full(30, 40.0))
     with pytest.raises(SimulationError):
         ctm_step(state, grid, 0.0, 1.5 * max_dt(None, DIAG, grid), DIAG)
+
+
+class _ShapeSpyLaw:
+    """DIAG's speed law, recording the shape of every density input."""
+
+    rho_max, free_speed = DIAG.rho_max, DIAG.free_speed
+
+    def __init__(self):
+        self.shapes = []
+
+    def speed(self, rho):
+        self.shapes.append(np.shape(rho))
+        return DIAG.speed(rho)
+
+
+def test_no_embedding_step_calls_a_per_density_law_on_a_sample_column():
+    # the law sees the sample densities as one column and the cells' own
+    # densities as one row, never a samples x cells table
+    grid = SpatialGrid(a_km=0.0, b_km=3.0, n_cells=30)
+    state = MacroState1(rho=np.linspace(5.0, 95.0, 30))
+    dt = 0.5 * max_dt(None, DIAG, grid)
+    spy = _ShapeSpyLaw()
+    sampling = FluxSamplingConfig(n_rho_samples=64)
+    out = ctm_step(state, grid, 0.0, dt, spy, sampling=sampling, left_flux=900.0)
+    assert sorted(spy.shapes) == [(30,), (64, 1)]
+    want = ctm_step(state, grid, 0.0, dt, DIAG, sampling=sampling, left_flux=900.0)
+    assert np.array_equal(out.rho, want.rho)
 
 
 def test_ctm_uniform_state_is_steady():
