@@ -226,7 +226,13 @@ def _validate_scenario(path: str) -> ScenarioConfig:
         if cfg.model == "gsom" and cfg.initial.kind == "kde":
             _require_vehicle_at_start(cfg, _data_fleet(cfg, fleets))
     if cfg.model == "network":
-        _six_road_network(cfg, cfg.diagram.build())
+        grids = {road.road_id: road.grid
+                 for road in _six_road_network(cfg, cfg.diagram.build()).roads}
+    else:
+        grids = {cfg.road_id: cfg.grid()}
+    if cfg.diffusion is not None:
+        _DispersionRun.layout(cfg.diffusion, {rid: (grid.dx_km, grid.n_cells)
+                                              for rid, grid in grids.items()})
     if cfg.sensors_path is not None:
         load_sensors(cfg.sensors_path)
     if cfg.emission_coeffs_path is not None:

@@ -20,9 +20,6 @@ ArrayLike = Union[float, np.ndarray]
 #: diagram evaluation raises a domain error.
 CLAMP_BAND = 1e-12
 
-#: Bisection tolerance (absolute, on speed) for the w-inversion.
-W_INVERSION_SPEED_TOL = 1e-9
-
 
 class ConfigError(ValueError):
     """A configuration value violates a documented invariant."""
@@ -195,16 +192,6 @@ class CgarzDiagram:
         wc = _clamped(w, self.w_left, self.w_right, "invariant w")
         return _as_input_shape((wc - self.w_left) / (self.w_right - self.w_left), w)
 
-    def g(self, rho: ArrayLike) -> ArrayLike:
-        """Parabolic branch g(rho) = (v_max/rho_max) rho (rho_max - rho)."""
-        r = np.asarray(rho, dtype=float)
-        return _as_input_shape((self.v_max / self.rho_max) * r * (self.rho_max - r), rho)
-
-    def f(self, rho: ArrayLike) -> ArrayLike:
-        """Linear congested branch f(rho) = (v_max/rho_max) rho_f (rho_max - rho)."""
-        r = np.asarray(rho, dtype=float)
-        return _as_input_shape((self.v_max / self.rho_max) * self.rho_f * (self.rho_max - r), rho)
-
     def speed(self, rho: ArrayLike, w: ArrayLike) -> ArrayLike:
         return cgarz_speed(rho, w, self)
 
@@ -261,36 +248,38 @@ def cgarz_speed_drho(rho: ArrayLike, w: ArrayLike, diag: CgarzDiagram) -> ArrayL
     return out
 
 
-def invert_speed_in_w(rho: float, v_target: float, diag: CgarzDiagram) -> float:
+def invert_speed_in_w(rho: ArrayLike, v_target: ArrayLike,
+                      diag: CgarzDiagram) -> ArrayLike:
     """Invariant w in [w_left, w_right] with v(rho, w) closest to v_target.
 
-    Bisection on the (monotone increasing) map w -> v(rho, w) down to an
-    absolute speed tolerance of 1e-9; outside the attainable speed range the
-    nearer endpoint is returned.  For rho <= rho_f the speed is w-independent
-    and the neutral midpoint (w_left + w_right)/2 is the declared fallback.
+    In congestion v(rho, w) = v_lo + theta(w) (v_hi - v_lo), with v_lo and
+    v_hi the speeds at w_left and w_right, so theta, and with it w, is read
+    off exactly.  A target at or below v_lo gives w_left, else one at or
+    above v_hi gives w_right (at rho_max both speeds are 0).  For
+    rho <= rho_f the speed is w-independent and the neutral midpoint
+    (w_left + w_right)/2 is the declared fallback.  Densities and targets
+    broadcast; scalars give a float.
     """
-    r = float(_clamped(rho, 0.0, diag.rho_max, "density"))
-    if v_target < 0:
-        raise ValueError(f"target speed must be nonnegative, got {v_target}")
-    if r <= diag.rho_f:
-        return 0.5 * (diag.w_left + diag.w_right)
+    r = _clamped(rho, 0.0, diag.rho_max, "density")
+    v = np.asarray(v_target, dtype=float)
+    usable = (v >= 0.0) & (v < np.inf)
+    if not usable.all():
+        raise ValueError(
+            f"target speed must be finite and nonnegative, got {v[~usable][0]}")
     v_lo = cgarz_speed(r, diag.w_left, diag)
     v_hi = cgarz_speed(r, diag.w_right, diag)
-    if v_target <= v_lo:
-        return diag.w_left
-    if v_target >= v_hi:
-        return diag.w_right
-    lo, hi = diag.w_left, diag.w_right
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v_mid = cgarz_speed(r, mid, diag)
-        if abs(v_mid - v_target) <= W_INVERSION_SPEED_TOL:
-            return mid
-        if v_mid < v_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    span = v_hi - v_lo
+    # Clipping the target first keeps theta in [0, 1]; the free branch and
+    # rho_max have no span and are overwritten below.
+    theta = ((np.minimum(np.maximum(v, v_lo), v_hi) - v_lo)
+             / np.where(span > 0.0, span, 1.0))
+    w = diag.w_left + theta * (diag.w_right - diag.w_left)
+    w = np.where(v >= v_hi, diag.w_right, w)
+    w = np.where(v <= v_lo, diag.w_left, w)
+    w = np.where(r <= diag.rho_f, 0.5 * (diag.w_left + diag.w_right), w)
+    if np.ndim(rho) == 0 and np.ndim(v_target) == 0:
+        return float(w)
+    return w
 
 
 # ---------------------------------------------------------------------------

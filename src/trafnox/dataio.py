@@ -249,6 +249,9 @@ def load_sensors(path: PathLike) -> dict[str, SensorSeries]:
             ) from None
         flux = _parse_float(parts[2], path, lineno, "flux_veh_per_h")
         speed = _parse_float(parts[3], path, lineno, "speed_kmh")
+        for what, value in (("flux_veh_per_h", flux), ("speed_kmh", speed)):
+            if value < 0:
+                raise ConfigError(f"{path}:{lineno}: {what} must be >= 0, got {value}")
         per_road = rows.setdefault(rid, {})
         if minute in per_road:
             raise ConfigError(

@@ -16,7 +16,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
-    CgarzAtFixedW,
     CgarzDiagram,
     ConfigError,
     CutoffShape,
@@ -57,7 +56,7 @@ def embedded_speed_2(x: ArrayLike, t: float, rho: ArrayLike, w: ArrayLike,
 
 def max_dt_2(fleet: Optional[Fleet], diag: CgarzDiagram, grid: SpatialGrid) -> float:
     """dx / max{fastest tracked speed, V_max} with V_max = max_w v(0, w)."""
-    return max_dt(fleet, CgarzAtFixedW(diag, diag.w_right), grid)
+    return max_dt(fleet, diag, grid)
 
 
 def _cell_tables(state: MacroState2, grid: SpatialGrid, t: float,

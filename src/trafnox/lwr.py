@@ -22,6 +22,7 @@ from typing import Callable, Optional, Protocol, Union
 import numpy as np
 
 from .core import (
+    CgarzDiagram,
     ConfigError,
     CutoffShape,
     MacroState1,
@@ -292,7 +293,8 @@ def _embedded_speed(x: ArrayLike, t: float, rho: ArrayLike, rho_max: float,
 # time stepping
 # ---------------------------------------------------------------------------
 
-def max_dt(fleet: Optional[Fleet], law: SpeedLaw, grid: SpatialGrid) -> float:
+def max_dt(fleet: Optional[Fleet], law: Union[SpeedLaw, CgarzDiagram],
+           grid: SpatialGrid) -> float:
     """Largest admissible step dx / max{fastest tracked speed, free speed}."""
     top_speed = float(law.free_speed)
     if fleet is not None and len(fleet) > 0:

@@ -165,6 +165,9 @@ class DiffusionConfig:
         object.__setattr__(self, "strips", tuple(self.strips))
         if not self.strips:
             raise ConfigError("diffusion.strips must name at least one road")
+        if self.mixing_height_km is not None and not self.mixing_height_km > 0:
+            raise ConfigError(f"diffusion.mixing_height_km must be > 0, got "
+                              f"{self.mixing_height_km}")
 
     def domain(self) -> Domain2D:
         return Domain2D(half_length_x_km=self.half_length_x_km,
@@ -325,6 +328,11 @@ class ScenarioConfig:
 
     def cutoff_shape(self) -> CutoffShape:
         return CutoffShape(ell=self.cutoff_ell_km, big_l=self.cutoff_big_l_km)
+
+    def grid(self) -> SpatialGrid:
+        """The cell grid of a single-road model."""
+        return SpatialGrid(a_km=self.road_a_km, b_km=self.road_b_km,
+                           n_cells=self.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +509,7 @@ def _initial_state_2(cfg: ScenarioConfig, grid: SpatialGrid,
     kcfg = KdeConfig(bandwidth_km=cfg.initial.kde_bandwidth_km,
                      normalization=cfg.initial.kde_normalization)
     v = kde_velocity(data_fleet, 0.0, kcfg, grid)
-    w = np.array([invert_speed_in_w(float(r), float(s), diag)
-                  for r, s in zip(rho, v)])
-    return MacroState2(rho=rho, w=w)
+    return MacroState2(rho=rho, w=invert_speed_in_w(rho, v, diag))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +551,18 @@ class _DispersionRun:
     def __init__(self, dcfg: DiffusionConfig,
                  road_geometry: Mapping[str, tuple[float, int]]) -> None:
         self.config = dcfg
-        self.domain = dcfg.domain()
-        self.windows: dict[str, tuple[int, int, float]] = {}
+        self.domain, self.windows = self.layout(dcfg, road_geometry)
+        self.field = ConcentrationField.zero(self.domain)
+        self.rows: list[np.ndarray] = []
+
+    @staticmethod
+    def layout(dcfg: DiffusionConfig,
+               road_geometry: Mapping[str, tuple[float, int]]
+               ) -> tuple[Domain2D, dict[str, tuple[int, int, float]]]:
+        """The checked domain and, per strip, its (first cell, end cell,
+        traffic dx) window on its road, from each road's (dx_km, n_cells)."""
+        domain = dcfg.domain()
+        windows: dict[str, tuple[int, int, float]] = {}
         for scfg in dcfg.strips:
             rid = scfg.road_id
             if rid not in road_geometry:
@@ -574,9 +590,11 @@ class _DispersionRun:
                     f"road {rid!r}: road_span_km [{lo}, {hi}] falls outside "
                     f"the road's {n_cells} cells"
                 )
-            self.windows[rid] = (j0, j1, dx_traffic)
-        self.field = ConcentrationField.zero(self.domain)
-        self.rows: list[np.ndarray] = []
+            # a zero row through the step's own refinement refuses a traffic
+            # step that is no multiple of the fine step up front
+            refine_emissions(np.zeros(j1 - j0), dx_traffic, domain.dx_km)
+            windows[rid] = (j0, j1, dx_traffic)
+        return domain, windows
 
     def step(self, emissions: Mapping[str, np.ndarray], dt_h: float) -> None:
         fine = {}
@@ -621,8 +639,7 @@ def _data_fleet(cfg: ScenarioConfig,
 
 def _run_lwr(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     law = cfg.diagram.build()
-    grid = SpatialGrid(a_km=cfg.road_a_km, b_km=cfg.road_b_km,
-                       n_cells=cfg.n_cells)
+    grid = cfg.grid()
     data_fleet = _data_fleet(cfg, fleets)
     mode = EMBEDDINGS[cfg.embedding]
     embed_fleet = data_fleet if mode is not EmbeddingMode.NONE else None
@@ -730,8 +747,7 @@ def _record_roads(cfg: ScenarioConfig, grids: Mapping[str, SpatialGrid],
 
 def _run_gsom(cfg: ScenarioConfig, fleets: Mapping[str, Fleet]):
     diag = cfg.diagram.build()
-    grid = SpatialGrid(a_km=cfg.road_a_km, b_km=cfg.road_b_km,
-                       n_cells=cfg.n_cells)
+    grid = cfg.grid()
     data_fleet = _data_fleet(cfg, fleets)
     embed_fleet = data_fleet if cfg.embedding == "cv" else None
     shape = cfg.cutoff_shape()

@@ -347,7 +347,7 @@ def test_embedded_trajectories_shrink_emission_gap():
     kde = KdeConfig(bandwidth_km=0.1, normalization="standard")
     rho0 = np.clip(kde_density(fleet, 0.0, kde, grid), 0.0, diag.rho_max)
     nu0 = kde_velocity(fleet, 0.0, kde, grid)
-    w0 = np.array([invert_speed_in_w(r, v, diag) for r, v in zip(rho0, nu0)])
+    w0 = invert_speed_in_w(rho0, nu0, diag)
 
     dt = 1.0 / 3600.0
     n_steps = int(round(horizon / dt))

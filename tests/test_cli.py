@@ -391,3 +391,30 @@ def test_one_cell_network_road_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "road 4" in err and "lengths_km" in err and "dx_km" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_strip_outside_the_dispersion_domain_exits_2(tmp_path, capsys, command):
+    # the default domain spans x in [-15, 15] km; validate resolves the
+    # domain and strip windows through the checks simulate runs
+    shipped = Path(__file__).resolve().parent.parent / "scenarios"
+    raw = yaml.safe_load((shipped / "network_sensors.yaml").read_text())
+    raw.update(sensors_path=str(shipped / raw["sensors_path"]),
+               out_dir=str(tmp_path / "out"), emission_formula="max",
+               diffusion={"strips": [{"road_id": "1", "x_km": [-20.0, 20.0],
+                                      "y_km": [0.0, 0.01]}]})
+    config = _write_yaml(tmp_path / "net.yaml", raw)
+    assert main([command, "--config", config]) == 2
+    assert "strip '1' extends outside the domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_traffic_step_off_the_fine_grid_exits_2(tmp_path, capsys, command):
+    # 0.5 km traffic cells cannot be split into 0.2 km dispersion cells
+    block = {"half_length_x_km": 3.0, "half_length_y_km": 1.0,
+             "dx_km": 0.2, "dy_km": 0.2,
+             "strips": [{"road_id": "0", "x_km": [-2.6, 2.4], "y_km": [0.0, 0.2],
+                         "road_span_km": [0.0, 5.0]}]}
+    config = _gsom_config(tmp_path, emission_formula="max", diffusion=block)
+    assert main([command, "--config", config]) == 2
+    assert "not an integer multiple of the fine step" in capsys.readouterr().err

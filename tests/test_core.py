@@ -1,6 +1,7 @@
 """Fundamental diagrams, cutoff function, and shared type validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,13 +208,48 @@ def test_invert_speed_examples():
     rho=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_invert_speed_roundtrip(w, rho):
-    # inversion after evaluation recovers w to bisection tolerance (rho > rho_f)
+    # in congestion the inversion is exact up to rounding: the speed comes
+    # back within a few ulps of the largest speed at this density, v(rho, w_right)
     w_val = CGARZ.w_left + w * (CGARZ.w_right - CGARZ.w_left)
     rho_val = CGARZ.rho_f + 1.0 + rho * (CGARZ.rho_max - CGARZ.rho_f - 2.0)
     v = cgarz_speed(rho_val, w_val, CGARZ)
     w_back = invert_speed_in_w(rho_val, v, CGARZ)
     v_back = cgarz_speed(rho_val, w_back, CGARZ)
-    assert abs(v_back - v) <= 1e-6
+    assert abs(v_back - v) <= 8 * np.spacing(cgarz_speed(rho_val, CGARZ.w_right, CGARZ))
+
+
+def test_invert_speed_array_call_equals_scalar_calls():
+    mid = 0.5 * (CGARZ.w_left + CGARZ.w_right)
+    v_max_at_28 = cgarz_speed(28.0, CGARZ.w_right, CGARZ)
+    cases = [  # (rho, target speed, expected w or None for an interior value)
+        (0.0, 3.0, mid), (5.0, 77.0, mid), (CGARZ.rho_f, 0.0, mid),
+        (28.0, 30.0, None), (40.0, 15.0, None), (28.0, 45.0, CGARZ.w_right),
+        (28.0, 1.0, CGARZ.w_left), (28.0, 450.0 / 28.0, CGARZ.w_left),
+        (28.0, 89.0, CGARZ.w_right), (28.0, v_max_at_28, CGARZ.w_right),
+        (28.0, 1e300, CGARZ.w_right), (55.999999, 1e300, CGARZ.w_right),
+        (CGARZ.rho_max, 0.0, CGARZ.w_left), (CGARZ.rho_max, 1e-300, CGARZ.w_right),
+        (CGARZ.rho_max, 5.0, CGARZ.w_right),
+    ]
+    rho, v, expected = (np.array(c) for c in zip(*cases))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = invert_speed_in_w(rho, v, CGARZ)
+        scalar = [invert_speed_in_w(float(r), float(s), CGARZ) for r, s in zip(rho, v)]
+    assert all(type(x) is float for x in scalar)
+    np.testing.assert_array_equal(w, scalar)
+    for got, want in zip(w, expected):
+        if want is None:
+            assert CGARZ.w_left < got < CGARZ.w_right
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("v_target", [math.nan, math.inf, -1.0])
+def test_invert_speed_refuses_unusable_targets(v_target):
+    with pytest.raises(ValueError, match="target speed"):
+        invert_speed_in_w(28.0, v_target, CGARZ)
+    with pytest.raises(ValueError, match="target speed"):
+        invert_speed_in_w(np.array([28.0, 30.0]), np.array([40.0, v_target]), CGARZ)
 
 
 def test_cgarz_at_fixed_w_matches_family():

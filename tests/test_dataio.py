@@ -258,7 +258,8 @@ def test_gap_lists_missing_minutes(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["1,0,800", "1,0.5,800,90", "1,zero,800,90",
-                                 "1,0,nan,90", "1,0,800,-inf"])
+                                 "1,0,nan,90", "1,0,800,-inf", "1,1,-5.0,60.0",
+                                 "1,1,800,-60.0"])
 def test_malformed_sensor_rows_rejected(tmp_path, row):
     path = tmp_path / "s.csv"
     path.write_text(row + "\n")

@@ -153,6 +153,13 @@ def test_diffusion_needs_an_emission_formula():
         ScenarioConfig(model="gsom", diagram=CGARZ, diffusion=diff)
 
 
+@pytest.mark.parametrize("height", [0.0, -0.003, np.nan])
+def test_diffusion_refuses_a_nonpositive_mixing_height(height):
+    with pytest.raises(ConfigError, match="mixing_height_km must be > 0"):
+        DiffusionConfig(mixing_height_km=height, strips=(
+            StripConfig(road_id="0", x_km=(-1.0, 1.0), y_km=(0.0, 0.01)),))
+
+
 def test_coefficient_file_only_applies_to_the_two_regime_formula(tmp_path):
     path = tmp_path / "coeffs.txt"
     path.write_text("threshold -0.5\n")
