@@ -30,7 +30,7 @@ from .diffusion import stable_dt
 from .emissions import load_coefficients
 from .scenario import (ScenarioConfig, _data_fleet, _DispersionRun,
                        _emission_evaluator, _require_vehicle_at_start,
-                       _six_road_network,
+                       _road_geometry, _six_road_network,
                        generate_trajectories, load_config,
                        load_generation_config, run_scenario)
 
@@ -181,13 +181,13 @@ def _cmd_diffuse(args) -> None:
         raise ConfigError("emission dumps disagree in row count or cadence")
     geometry = {rid: (dump.dx_km, dump.rows.shape[1])
                 for rid, dump in dumps.items()}
-    dispersion = _DispersionRun(cfg.diffusion, geometry)
+    n_rows = shapes.pop()
+    dispersion = _DispersionRun(cfg.diffusion, geometry, n_rows)
     dt_rows = cadences.pop()
     bound = stable_dt(cfg.diffusion.mu_km2_per_h, cfg.diffusion.dx_km,
                       cfg.diffusion.dy_km)
     n_sub = 1 if math.isinf(bound) else max(1, math.ceil(dt_rows / bound))
     sub_dt = dt_rows / n_sub
-    n_rows = shapes.pop()
     for m in range(n_rows):
         row = {rid: dump.rows[m] for rid, dump in dumps.items()}
         for _ in range(n_sub):
@@ -231,8 +231,7 @@ def _validate_scenario(path: str) -> ScenarioConfig:
     else:
         grids = {cfg.road_id: cfg.grid()}
     if cfg.diffusion is not None:
-        _DispersionRun.layout(cfg.diffusion, {rid: (grid.dx_km, grid.n_cells)
-                                              for rid, grid in grids.items()})
+        _DispersionRun.layout(cfg.diffusion, _road_geometry(grids))
     if cfg.sensors_path is not None:
         load_sensors(cfg.sensors_path)
     if cfg.emission_coeffs_path is not None:

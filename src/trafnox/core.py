@@ -322,6 +322,21 @@ def cutoff_derivative(xi: ArrayLike, shape: CutoffShape) -> ArrayLike:
 # solver states
 # ---------------------------------------------------------------------------
 
+def frozen_array(values: ArrayLike) -> np.ndarray:
+    """``values`` as a read-only float array that no caller can write through.
+
+    A float array that is read-only and owns its data, as a step hands over
+    its fresh result, is taken as it is; anything else is copied, so later
+    writes to the caller's array do not reach the returned one.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen_field(values: ArrayLike, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:

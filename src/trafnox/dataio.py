@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, frozen_array
 from .lagrangian import Fleet
 from .network import SensorSeries
 
@@ -55,6 +55,9 @@ QUANTITIES = {
 
 _SECONDS_PER_HOUR = 3600.0
 _FLOAT_FMT = "%.17g"
+#: Values formatted per write of a dump row: bounds the strings a row of a
+#: 2-d concentration grid is written through.
+_ROW_CHUNK = 4096
 
 
 def _data_lines(path: Path):
@@ -312,11 +315,10 @@ class FieldDump:
             raise ConfigError(
                 f"unknown quantity {self.quantity!r}; expected one of "
                 f"{sorted(QUANTITIES)}")
-        arr = np.array(self.rows, dtype=float)
+        arr = frozen_array(self.rows)
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ConfigError(
                 f"dump rows must form a (records, cells) matrix, got {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
         object.__setattr__(self, "extra", dict(self.extra))
 
@@ -326,7 +328,12 @@ class FieldDump:
 
 
 def write_fields(dumps: Mapping[str, FieldDump], out_dir: PathLike) -> dict[str, Path]:
-    """One `<key>.csv` per dump with a metadata header line; returns the paths."""
+    """One `<key>.csv` per dump with a metadata header line; returns the paths.
+
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",",
+    comments="# ")`, but each row is formatted and written in chunks of
+    `_ROW_CHUNK` values, so no whole-row string is built.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -340,10 +347,24 @@ def write_fields(dumps: Mapping[str, FieldDump], out_dir: PathLike) -> dict[str,
         meta += [f"{name}={_FLOAT_FMT % value}"
                  for name, value in sorted(dump.extra.items())]
         path = out_dir / f"{key}.csv"
-        np.savetxt(path, dump.rows, fmt=_FLOAT_FMT, delimiter=",",
-                   header=" ".join(meta), comments="# ")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("# " + " ".join(meta) + "\n")
+            _write_rows(handle, dump.rows)
         paths[key] = path
     return paths
+
+
+def _write_rows(handle, rows: np.ndarray) -> None:
+    """Write each row as `%.17g` values joined by commas, chunk by chunk."""
+    n_cols = rows.shape[1]
+    formats = {n: ",".join([_FLOAT_FMT] * n) for n in (_ROW_CHUNK, n_cols % _ROW_CHUNK)}
+    for row in rows:
+        for start in range(0, n_cols, _ROW_CHUNK):
+            values = tuple(row[start:start + _ROW_CHUNK].tolist())
+            if start:
+                handle.write(",")
+            handle.write(formats[len(values)] % values)
+        handle.write("\n")
 
 
 def read_field_dump(path: PathLike) -> FieldDump:

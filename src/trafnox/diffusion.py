@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ArrayLike, ConfigError, SimulationError
+from .core import ArrayLike, ConfigError, SimulationError, frozen_array
 
 __all__ = [
     "ConcentrationField",
@@ -146,14 +146,13 @@ class ConcentrationField:
     psi: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.psi, dtype=float)
+        arr = frozen_array(self.psi)
         expected = (self.domain.n_y, self.domain.n_x)
         if arr.shape != expected:
             raise ConfigError(
                 f"psi must have shape {expected} for this domain, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("psi contains non-finite values")
-        arr.flags.writeable = False
         object.__setattr__(self, "psi", arr)
 
     @classmethod
@@ -239,6 +238,11 @@ def diffusion_step(field: ConcentrationField, source: ArrayLike,
     Five-point Laplacian with zero-flux boundaries (edge-copied ghost
     cells), then the source contribution dt * S.  Refuses steps beyond the
     explicit stability bound.
+
+    psi + dt (mu ((east - 2 psi + west) / dx^2 + (north - 2 psi + south)
+    / dy^2) + S) is formed in that operation order from shifted slices, in
+    two grid-sized buffers: one becomes the new field, so the step makes no
+    padded copy and no other grid-sized temporary.
     """
     dom = field.domain
     if dt_h <= 0:
@@ -252,7 +256,24 @@ def diffusion_step(field: ConcentrationField, source: ArrayLike,
         raise ConfigError(
             f"source shape {s_arr.shape} does not match psi {field.psi.shape}")
     psi = field.psi
-    padded = np.pad(psi, 1, mode="edge")
-    lap = ((padded[1:-1, 2:] - 2.0 * psi + padded[1:-1, :-2]) / dom.dx_km**2
-           + (padded[2:, 1:-1] - 2.0 * psi + padded[:-2, 1:-1]) / dom.dy_km**2)
-    return ConcentrationField(dom, psi + dt_h * (mu_km2_per_h * lap + s_arr))
+    twice = np.multiply(psi, 2.0)
+    out = np.empty_like(psi)
+    # east - 2 psi + west; the last column is its own east, the first its own west
+    np.subtract(psi[:, 1:], twice[:, :-1], out=out[:, :-1])
+    np.subtract(psi[:, -1:], twice[:, -1:], out=out[:, -1:])
+    out[:, 1:] += psi[:, :-1]
+    out[:, :1] += psi[:, :1]
+    out /= dom.dx_km**2
+    # north - 2 psi + south, formed over 2 psi in place
+    np.subtract(psi[1:], twice[:-1], out=twice[:-1])
+    np.subtract(psi[-1:], twice[-1:], out=twice[-1:])
+    twice[1:] += psi[:-1]
+    twice[:1] += psi[:1]
+    twice /= dom.dy_km**2
+    out += twice
+    out *= mu_km2_per_h
+    out += s_arr
+    out *= dt_h
+    out += psi
+    out.flags.writeable = False
+    return ConcentrationField(dom, out)

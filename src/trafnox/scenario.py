@@ -545,15 +545,19 @@ class _DispersionRun:
 
     Resolves each configured strip to a window of traffic cells on its road,
     refines the per-cell emission rates onto the fine grid, and applies one
-    explicit diffusion step per traffic step.
+    explicit diffusion step per traffic step.  The run takes exactly
+    ``n_records`` records, each copied once into a (records, cells) matrix
+    that the dump hands over without a further copy.
     """
 
     def __init__(self, dcfg: DiffusionConfig,
-                 road_geometry: Mapping[str, tuple[float, int]]) -> None:
+                 road_geometry: Mapping[str, tuple[float, int]],
+                 n_records: int) -> None:
         self.config = dcfg
         self.domain, self.windows = self.layout(dcfg, road_geometry)
         self.field = ConcentrationField.zero(self.domain)
-        self.rows: list[np.ndarray] = []
+        self.rows = np.empty((n_records, self.domain.n_y * self.domain.n_x))
+        self.n_recorded = 0
 
     @staticmethod
     def layout(dcfg: DiffusionConfig,
@@ -607,14 +611,16 @@ class _DispersionRun:
                                     self.config.mu_km2_per_h, dt_h)
 
     def record(self) -> None:
-        self.rows.append(self.field.psi.ravel().copy())
+        self.rows[self.n_recorded] = self.field.psi.ravel()
+        self.n_recorded += 1
 
     def dump(self, dt_rows_h: float) -> FieldDump:
         dom = self.domain
+        self.rows.flags.writeable = False
         return FieldDump(
             quantity="psi", a_km=-dom.half_length_x_km,
             b_km=dom.half_length_x_km, dx_km=dom.dx_km, dt_h=dt_rows_h,
-            rows=np.array(self.rows),
+            rows=self.rows,
             extra={"n_y": float(dom.n_y), "dy_km": dom.dy_km,
                    "half_length_y_km": dom.half_length_y_km},
         )
@@ -690,6 +696,12 @@ def _second_order_observer(cfg: ScenarioConfig, diag: CgarzDiagram,
     return observe
 
 
+def _road_geometry(grids: Mapping[str, SpatialGrid]
+                   ) -> dict[str, tuple[float, int]]:
+    """Each road's (dx_km, n_cells), as _DispersionRun.layout takes them."""
+    return {rid: (grid.dx_km, grid.n_cells) for rid, grid in grids.items()}
+
+
 def _record_roads(cfg: ScenarioConfig, grids: Mapping[str, SpatialGrid],
                   states: Mapping[str, Any], advance, observe,
                   t0: float, dt: float, n_steps: int,
@@ -710,9 +722,8 @@ def _record_roads(cfg: ScenarioConfig, grids: Mapping[str, SpatialGrid],
         )
     dispersion = None
     if cfg.diffusion is not None:
-        dispersion = _DispersionRun(
-            cfg.diffusion,
-            {rid: (grid.dx_km, grid.n_cells) for rid, grid in grids.items()})
+        dispersion = _DispersionRun(cfg.diffusion, _road_geometry(grids),
+                                    n_steps // cfg.record_every)
     rows: dict[str, dict[str, list]] = {rid: {} for rid in grids}
     for n in range(n_steps):
         states = advance(t0 + n * dt, states)
@@ -794,6 +805,9 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
     bound = min(max_dt_2(embed_fleets.get(road.road_id), road.diagram,
                          road.grid) for road in net.roads)
     dt = cfg.dt_h if cfg.dt_h is not None else cfg.cfl_safety * bound
+    grids = {road.road_id: road.grid for road in net.roads}
+    if cfg.diffusion is not None:   # refuse a bad block before the warm start
+        _DispersionRun.layout(cfg.diffusion, _road_geometry(grids))
     net = warm_start(net, sensors, embed_fleets, ncfg.warm_start_h,
                      dt_h=dt, shape=shape, sampling=sampling, t0=0.0)
     timing = TimeGrid.from_horizon(horizon_h=cfg.horizon_h, dt_h=dt)
@@ -803,7 +817,6 @@ def _run_network(cfg: ScenarioConfig, fleets: Mapping[str, Fleet],
                                shape, sampling)
         return {road.road_id: road.state for road in stepped.roads}
 
-    grids = {road.road_id: road.grid for road in net.roads}
     dumps = _record_roads(
         cfg, grids, {road.road_id: road.state for road in net.roads}, advance,
         _second_order_observer(cfg, diag, grids, embed_fleets, shape),

@@ -2,12 +2,14 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trafnox.core import ConfigError
 from trafnox.dataio import (
+    _ROW_CHUNK,
     FieldDump,
     file_sha256,
     load_sensors,
@@ -342,6 +344,49 @@ def test_header_line_carries_metadata(tmp_path):
     assert first.startswith("# ")
     for token in ("quantity=speed", "a_km=0", "units=km/h", "dx_km=0.1"):
         assert token in first
+
+
+@pytest.mark.parametrize("n_cols", [1, 5, _ROW_CHUNK, 2 * _ROW_CHUNK + 3])
+def test_dump_bytes_are_savetxts(tmp_path, n_cols):
+    rng = np.random.default_rng(n_cols)
+    rows = rng.normal(size=(7, n_cols)) * 10.0 ** rng.integers(-300, 300, (7, n_cols))
+    special = [-0.0, 5e-324, 1e300, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+    rows[:, 0] = special
+    rows.flat[rng.choice(rows.size, len(special), replace=False)] = special
+    path = write_fields({"psi": _dump(quantity="psi", rows=rows,
+                                      extra={"n_y": 7.0})}, tmp_path)["psi"]
+    ours = path.read_bytes()
+    header = ours.split(b"\n", 1)[0]
+    assert header.startswith(b"# quantity=psi ")
+    np.savetxt(tmp_path / "ref.csv", rows, fmt="%.17g", delimiter=",",
+               header=header[2:].decode(), comments="# ")
+    assert ours == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_writing_a_grid_dump_holds_no_whole_row_string(tmp_path):
+    # three 400,000-value psi rows, as sensor_network records them
+    dump = _dump(quantity="psi", rows=np.random.default_rng(5).random((3, 400_000)))
+    tracemalloc.start()
+    try:
+        path = write_fields({"psi": dump}, tmp_path)["psi"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3 * 400_000 * 17
+    assert peak <= 2_000_000
+
+
+def test_dump_keeps_a_read_only_copy_of_a_callers_array():
+    values = np.ones((2, 3))
+    view = values.view()
+    view.flags.writeable = False        # read-only, but the caller still writes
+    dumps = [_dump(rows=values), _dump(rows=view)]
+    values[0, 0] = 5.0
+    for dump in dumps:
+        assert dump.rows[0, 0] == 1.0
+        assert not dump.rows.flags.writeable
+        with pytest.raises(ValueError):
+            dump.rows[0, 0] = 2.0
 
 
 def test_empty_dump_mapping_writes_nothing(tmp_path):

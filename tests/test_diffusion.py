@@ -1,5 +1,7 @@
 """Pollutant diffusion: domain geometry, source stamping, explicit stepping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,50 @@ def test_concentration_stays_nonnegative_under_stable_step():
         assert float(field.psi.min()) >= 0.0
 
 
+def _padded_step(psi, source, mu, dt, dx, dy):
+    """The step as an edge-padded copy and whole-grid temporaries."""
+    padded = np.pad(psi, 1, mode="edge")
+    lap = ((padded[1:-1, 2:] - 2.0 * psi + padded[1:-1, :-2]) / dx**2
+           + (padded[2:, 1:-1] - 2.0 * psi + padded[:-2, 1:-1]) / dy**2)
+    return psi + dt * (mu * lap + source)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_y, n_x", [(1, 1), (1, 9), (7, 1), (6, 11)])
+def test_step_is_bitwise_the_padded_expression(n_y, n_x, seed):
+    rng = np.random.default_rng(seed)
+    dx, dy = 0.01, 0.02
+    dom = Domain2D(n_x * dx / 2, n_y * dy / 2, dx, dy)
+    psi = rng.normal(size=(n_y, n_x)) * 10.0 ** rng.integers(-3, 4, (n_y, n_x))
+    psi[rng.random(psi.shape) < 0.3] = 0.0
+    psi[rng.random(psi.shape) < 0.1] = -0.0
+    source = np.zeros_like(psi)
+    row = rng.integers(n_y)
+    source[row] = rng.uniform(0.0, 5.0, n_x) * (rng.random(n_x) < 0.7)
+    mu = 1e-3
+    dt = 0.9 * stable_dt(mu, dx, dy)
+    got = diffusion_step(ConcentrationField(dom, psi), source, mu, dt).psi
+    want = _padded_step(psi, source, mu, dt, dx, dy)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_step_peaks_below_three_grids():
+    # sensor_network's 200 x 2,000 grid; tracemalloc counts NumPy's buffers
+    dom = Domain2D(10.0, 1.0, 0.01, 0.01)
+    field = ConcentrationField(
+        dom, np.random.default_rng(3).random((dom.n_y, dom.n_x)))
+    source = np.zeros((dom.n_y, dom.n_x))
+    source[100, 500:1500] = 1.0
+    tracemalloc.start()
+    try:
+        stepped = diffusion_step(field, source, 0.005, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stepped.psi.shape == (200, 2000)
+    assert peak <= 3 * field.psi.nbytes
+
+
 def test_center_source_spreads_symmetrically():
     dom = Domain2D(0.055, 0.035, 0.01, 0.01)   # 11 x 7 cells, odd counts
     source = np.zeros((dom.n_y, dom.n_x))
@@ -300,3 +346,17 @@ def test_field_rejects_non_finite_values():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         ConcentrationField(dom, bad)
+
+
+def test_field_keeps_a_read_only_copy_of_a_callers_array():
+    dom = _domain()
+    values = np.ones((dom.n_y, dom.n_x))
+    view = values.view()
+    view.flags.writeable = False        # read-only, but the caller still writes
+    fields = [ConcentrationField(dom, values), ConcentrationField(dom, view)]
+    values[0, 0] = 5.0
+    for field in fields:
+        assert field.psi[0, 0] == 1.0
+        assert not field.psi.flags.writeable
+        with pytest.raises(ValueError):
+            field.psi[0, 0] = 2.0

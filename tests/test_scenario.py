@@ -30,7 +30,7 @@ from trafnox import (
     write_sensors,
     write_trajectories,
 )
-from trafnox import scenario
+from trafnox import network, scenario
 from trafnox.lagrangian import synthetic_position
 from trafnox.network import SensorSeries
 
@@ -442,6 +442,29 @@ def test_dispersion_rejects_span_of_wrong_length(tmp_path):
         out_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="km long"):
         run_scenario(cfg)
+
+
+def test_bad_dispersion_block_is_refused_before_the_warm_start(tmp_path,
+                                                              monkeypatch):
+    calls = []
+    stepped = scenario.network_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return stepped(*args, **kwargs)
+
+    # warm_start steps through the network module's own name
+    monkeypatch.setattr(network, "network_step", counted)
+    monkeypatch.setattr(scenario, "network_step", counted)
+    block = DiffusionConfig(strips=(StripConfig(road_id="1", x_km=(-20.0, 20.0),
+                                                y_km=(0.0, 0.01)),))
+    cfg = ScenarioConfig(model="network", diagram=CGARZ, horizon_h=0.05,
+                         sensors_path=_sensor_file(tmp_path),
+                         emission_formula="max", diffusion=block,
+                         out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="extends outside the domain"):
+        run_scenario(cfg)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
